@@ -14,7 +14,9 @@ Node relaxations drop integrality and are convex, solved by the in-house
 active-set method.  Search order is best bound (ties FIFO), branching is on
 the most fractional binary (ties lexicographic by (segment, option)).  Every
 incumbent is rebuilt from an exact response evaluation, so reported
-objectives never inherit relaxation slack.
+objectives never inherit relaxation slack.  A node QP that stops at the
+iteration cap bounds nothing, so its node keeps the parent's bound and is
+branched; ``extras["iteration_limit_nodes"]`` counts such nodes.
 """
 
 from __future__ import annotations
@@ -455,6 +457,7 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
     tree_pairs: list[tuple[float, float]] = []
     status = "optimal"
     final_bound = None
+    capped_nodes = 0
 
     def out_of_budget():
         if time.perf_counter() - t0 > opts.time_limit_s:
@@ -485,8 +488,13 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
             continue
         if sol.status == "unbounded":
             raise RuntimeError("node relaxation unbounded; check instance bounds")
-        val = -sol.value  # relaxations are stated as minimizations
-        bound = min(val, node.parent_bound)
+        capped = sol.status == "iteration_limit"
+        if capped:
+            # a capped QP stops at a feasible point, which bounds nothing
+            capped_nodes += 1
+            bound = node.parent_bound
+        else:
+            bound = min(-sol.value, node.parent_bound)  # relaxations are minimizations
         if opts.collect_tree:
             tree_pairs.append((node.parent_bound, bound))
         if np.isfinite(incumbent.value) and bound <= incumbent.value + 1e-9 * scale:
@@ -495,7 +503,12 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
         heuristic(sol.z, incumbent)
         zb = sol.z[bin_idx]
         frac = np.minimum(zb - np.floor(zb + opts.int_tol), np.ceil(zb - opts.int_tol) - zb)
-        frac = np.where(node.fixed_lo == node.fixed_hi, 0.0, np.maximum(frac, 0.0))
+        free = node.fixed_lo != node.fixed_hi
+        frac = np.where(free, np.maximum(frac, 0.0), 0.0)
+        if capped and free.any() and float(frac.max()) <= opts.int_tol:
+            # an integral capped point does not close the node: split the first
+            # free binary (with none free, leaf_value solves the pinned pattern)
+            frac = free.astype(float)
         if float(frac.max(initial=0.0)) <= opts.int_tol:
             leaf_value(sol.z, node, incumbent)
             if opts.trace_level >= 2:
@@ -538,6 +551,7 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
         node_count=node_count,
         wall_time_s=time.perf_counter() - t0,
         trace=trace,
+        extras={"iteration_limit_nodes": capped_nodes},
     )
     if opts.collect_tree:
         report.extras["tree"] = tree_pairs

@@ -9,7 +9,13 @@ Two entry points:
 
 The active-set method eliminates equalities through a null-space
 parametrization, finds a starting point with a phase-1 LP, and then iterates
-equality-constrained steps.  Anti-cycling uses lexicographic tie-breaking on
+equality-constrained steps.  The starting working set is an independent
+subset of the rows tight there, picked greedily by index with an incremental
+(twice Gram-Schmidt) rank test.  Each working set is factorized once: after a
+full Newton step that no row blocks, the iterate minimizes over the working
+set, so the next iteration goes straight to the multipliers (Nocedal &
+Wright, *Numerical Optimization*, Alg. 16.3) instead of recomputing a step
+that is zero up to roundoff.  Anti-cycling uses lexicographic tie-breaking on
 constraint indices, with a Bland-style fallback after repeated degenerate
 steps.  Everything is deterministic: identical inputs give identical iterates.
 """
@@ -134,15 +140,63 @@ def _nullspace(C: np.ndarray, n: int) -> np.ndarray:
 
 
 def _independent_subset(G: np.ndarray, cand: np.ndarray, cap: int) -> list[int]:
-    """Greedy by index: keep rows that increase rank, up to cap rows."""
+    """Greedy by index: keep rows that increase rank, up to cap rows.
+
+    A candidate is kept when its residual against an orthonormal basis of the
+    rows kept so far (Gram-Schmidt, applied twice) exceeds the tolerance
+    ``matrix_rank`` would use on the kept rows plus the candidate, with the
+    Frobenius norm standing in for the largest singular value.
+    """
+    n = G.shape[1]
+    cap = min(cap, n)
     keep: list[int] = []
+    basis = np.empty((cap, n))
+    kept_sq = 0.0  # squared Frobenius norm of the kept rows
     for k in cand:
         if len(keep) >= cap:
             break
-        trial = G[keep + [int(k)]]
-        if np.linalg.matrix_rank(trial) == len(keep) + 1:
+        r = G[k]
+        r_sq = float(r @ r)
+        B = basis[: len(keep)]
+        for _ in range(2):
+            r = r - B.T @ (B @ r)
+        r_norm = float(np.linalg.norm(r))
+        tol = max(len(keep) + 1, n) * np.finfo(float).eps * np.sqrt(kept_sq + r_sq)
+        if r_norm > tol:
+            basis[len(keep)] = r / r_norm
             keep.append(int(k))
+            kept_sq += r_sq
     return keep
+
+
+def _working_set_step(Q, g, C, qscale):
+    """Step from x with gradient g on the manifold of the working rows C.
+
+    Returns (p, ray): the Newton step to the minimizer on the manifold, or,
+    when the reduced gradient has a component along zero curvature, a
+    descent ray scaled to unit max-norm.
+    """
+    n = g.size
+    Z = _nullspace(C, n)
+    if Z.shape[1] == 0:
+        return np.zeros(n), False
+    gz = Z.T @ g
+    Hz = Z.T @ Q @ Z
+    Hz = (Hz + Hz.T) / 2.0
+    lam_ev, U = np.linalg.eigh(Hz)
+    lam_max = max(float(lam_ev[-1]), 0.0)
+    # noise eigenvalues of a singular Hz scale with |Q|, not lam_max;
+    # treating them as curvature blows the Newton step up to ~1/noise
+    pos = lam_ev > 1e-11 * max(1.0, qscale, lam_max)
+    coef = U[:, pos].T @ gz
+    gz_null = gz - U[:, pos] @ coef
+    ray_tol = 1e-10 * max(1.0, float(np.abs(g).max(initial=0.0)))
+    if float(np.abs(gz_null).max(initial=0.0)) > ray_tol:
+        p = -(Z @ gz_null)
+        return p / max(float(np.abs(p).max()), 1e-300), True
+    if pos.any():
+        return -(Z @ (U[:, pos] @ (coef / lam_ev[pos]))), False
+    return np.zeros(n), False
 
 
 def _active_set_core(Q, c, G, h, x0, max_iter):
@@ -161,34 +215,19 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
     bland = False
     stall = 0
     it = 0
+    # after an unblocked full Newton step x minimizes over the working set,
+    # so the next iteration goes straight to the multipliers
+    full_step = False
     while it < max_iter:
         it += 1
         g = Q @ x + c
         C = G[work] if work else np.zeros((0, n))
-        Z = _nullspace(C, n)
-        ray = False
-        p = np.zeros(n)
-        if Z.shape[1] > 0:
-            gz = Z.T @ g
-            Hz = Z.T @ Q @ Z
-            Hz = (Hz + Hz.T) / 2.0
-            lam_ev, U = np.linalg.eigh(Hz)
-            lam_max = max(float(lam_ev[-1]), 0.0)
-            # noise eigenvalues of a singular Hz scale with |Q|, not lam_max;
-            # treating them as curvature blows the Newton step up to ~1/noise
-            pos = lam_ev > 1e-11 * max(1.0, qscale, lam_max)
-            coef = U[:, pos].T @ gz
-            gz_null = gz - U[:, pos] @ coef
-            ray_tol = 1e-10 * max(1.0, float(np.abs(g).max(initial=0.0)))
-            if float(np.abs(gz_null).max(initial=0.0)) > ray_tol:
-                p = -(Z @ gz_null)
-                p = p / max(float(np.abs(p).max()), 1e-300)
-                ray = True
-            elif pos.any():
-                p = -(Z @ (U[:, pos] @ (coef / lam_ev[pos])))
-
-        if not ray and float(np.abs(p).max(initial=0.0)) <= 1e-12 * max(1.0, float(np.abs(x).max())):
+        if not full_step:
+            p, ray = _working_set_step(Q, g, C, qscale)
+        if full_step or (not ray and float(np.abs(p).max(initial=0.0))
+                         <= 1e-12 * max(1.0, float(np.abs(x).max()))):
             # stationary on the working set: inspect multipliers
+            full_step = False
             if not work:
                 return x, "optimal", work, np.zeros(0), it, None
             slack_w = h[work] - C @ x
@@ -240,6 +279,8 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
         if blocker is not None and a_block <= alpha_target:
             work.append(blocker)
             work.sort()
+        else:
+            full_step = True
         if alpha <= 1e-13:
             stall += 1
             if stall > _STALL_LIMIT:

@@ -1,10 +1,13 @@
 """Indicator bounds and the exact branch-and-bound solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tariff_complex import (
     BigM,
+    GeneratorConfig,
     Instance,
     PricePolytope,
     SolverOptions,
@@ -12,6 +15,7 @@ from tariff_complex import (
     bigm_piece_value,
     bigm_quad,
     det_profit,
+    generate,
     quad_oracle,
     quad_profit,
     quad_response,
@@ -19,6 +23,7 @@ from tariff_complex import (
     solve_det,
     solve_quad,
 )
+from tariff_complex import bnb
 from conftest import line_instance, make_instance, tie_instance
 
 
@@ -209,3 +214,71 @@ def test_det_solver_handles_tie_instance():
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(1.8, abs=1e-8)
     assert rep.x[0, 0] == pytest.approx(3.0, abs=1e-6)
+
+
+def _record_node_qps(monkeypatch, cap_call=None):
+    """Wrap the node QP solver; the ``cap_call``-th solve reports the
+    iteration cap at the point it actually reached."""
+    sols = []
+    real = bnb.solve_qp
+
+    def wrapped(prob, **kw):
+        sol = real(prob, **kw)
+        if len(sols) + 1 == cap_call:
+            sol = dataclasses.replace(sol, status="iteration_limit")
+        sols.append(sol)
+        return sol
+
+    monkeypatch.setattr(bnb, "solve_qp", wrapped)
+    return sols
+
+
+def test_iteration_capped_node_keeps_parent_bound(monkeypatch):
+    # uncapped, node 2's relaxation value lies below the incumbent, so it is
+    # pruned; capped, its point bounds nothing and the node must stay open
+    inst = make_instance(np.random.default_rng(113), S=3, W=2, H=2)
+    opts = SolverOptions(gap=1e-6, collect_tree=True)
+    ref = solve_quad(inst, 1.0, opts)
+    root_bound = ref.extras["tree"][0][1]
+    assert ref.extras["tree"][1][1] < ref.trace[0]["incumbent"]
+    assert 2 not in [row["node"] for row in ref.trace]
+    assert ref.extras["iteration_limit_nodes"] == 0
+
+    sols = _record_node_qps(monkeypatch, cap_call=2)
+    rep = solve_quad(inst, 1.0, opts)
+    assert sols[1].status == "iteration_limit"
+    assert rep.extras["iteration_limit_nodes"] == 1
+    assert rep.extras["tree"][1] == (root_bound, root_bound)
+    node2 = [row for row in rep.trace if row["node"] == 2]
+    assert len(node2) == 1 and node2[0]["bound"] == root_bound
+    assert rep.node_count > ref.node_count
+    assert rep.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert rep.bound >= rep.objective
+
+
+def test_generated_five_segment_nodes_stop_without_cap_or_ridge(monkeypatch):
+    # this instance's sixth node QP once stepped ~5e-9 back and forth on one
+    # working set until the iteration cap, twice (cap, then ridge retry)
+    inst = generate(GeneratorConfig(S=5, n_company_contracts=2, seed=0))
+    sols = _record_node_qps(monkeypatch)
+    rep = solve_quad(inst, 0.05, SolverOptions(node_limit=10))
+    assert rep.node_count == len(sols) == 10
+    assert all(sol.status != "iteration_limit" for sol in sols)
+    assert not any(sol.ridge_applied for sol in sols)
+    assert sum(sol.n_iterations for sol in sols) < 2000
+    assert rep.extras["iteration_limit_nodes"] == 0
+
+
+def test_iteration_capped_integral_point_is_split_not_closed(monkeypatch):
+    # uncapped, the root relaxation is integral and closes the tree as a leaf
+    inst = make_instance(np.random.default_rng(101), S=2, W=2, H=1)
+    ref = solve_quad(inst, 2.0, SolverOptions(gap=1e-6))
+    assert [row["kind"] for row in ref.trace] == ["leaf"]
+
+    _record_node_qps(monkeypatch, cap_call=1)
+    rep = solve_quad(inst, 2.0, SolverOptions(gap=1e-6))
+    assert rep.trace[0]["kind"] == "branch" and rep.trace[0]["bound"] == np.inf
+    assert rep.extras["iteration_limit_nodes"] == 1
+    assert rep.node_count >= 3
+    assert rep.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert rep.bound >= rep.objective

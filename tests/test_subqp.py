@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from tariff_complex import QpProblem, find_feasible_point, project_simplex, solve_qp
+from tariff_complex.subqp import _independent_subset
 
 
 def test_project_simplex_basic_points():
@@ -173,3 +176,44 @@ def test_find_feasible_point():
 def test_rejects_indefinite_q():
     with pytest.raises(ValueError):
         solve_qp(QpProblem(Q=np.array([[-1.0, 0.0], [0.0, 1.0]]), c=np.zeros(2)))
+
+
+def _independent_subset_by_matrix_rank(G, cand, cap):
+    """Reference greedy pick: one ``matrix_rank`` per candidate row."""
+    keep = []
+    for k in cand:
+        if len(keep) >= cap:
+            break
+        if np.linalg.matrix_rank(G[keep + [int(k)]]) == len(keep) + 1:
+            keep.append(int(k))
+    return keep
+
+
+@st.composite
+def _rows_with_planted_dependencies(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["random", "duplicate", "negated", "sum", "zero"]))
+        if kind == "zero":
+            rows.append(np.zeros(n))
+        elif kind == "random" or not rows:
+            rows.append(rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3)))
+        elif kind == "sum":
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=4))
+            rows.append(np.sum([rows[j] for j in picks], axis=0))
+        else:
+            j = draw(st.integers(0, len(rows) - 1))
+            rows.append(rows[j].copy() if kind == "duplicate" else -rows[j])
+    G = np.array(rows)
+    cand = np.array(sorted(draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))))
+    cap = draw(st.integers(0, n + 2))
+    return G, cand, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_with_planted_dependencies())
+def test_independent_subset_matches_matrix_rank_greedy(case):
+    G, cand, cap = case
+    assert _independent_subset(G, cand, cap) == _independent_subset_by_matrix_rank(G, cand, cap)
