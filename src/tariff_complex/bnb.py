@@ -16,7 +16,8 @@ the most fractional binary (ties lexicographic by (segment, option)).  Every
 incumbent is rebuilt from an exact response evaluation, so reported
 objectives never inherit relaxation slack.  A node QP that stops at the
 iteration cap bounds nothing, so its node keeps the parent's bound and is
-branched; ``extras["iteration_limit_nodes"]`` counts such nodes.
+branched; ``extras["iteration_limit_nodes"]`` counts such nodes.  A tree
+exhausted without an incumbent reports ``infeasible`` (bound ``-inf``).
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class SolveReport:
     ``bound``/``gap`` are None for heuristic reports.  ``trace`` rows are
     deterministic (timings go to the log stream, not the report)."""
 
-    status: str  # optimal | gap_reached | time_limit | heuristic
+    status: str  # optimal | gap_reached | time_limit | infeasible | heuristic
     objective: float
     bound: float | None
     gap: float | None
@@ -533,9 +534,10 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
         trace.append({"node": node_count, "bound": bound,
                       "incumbent": incumbent.value, "kind": "branch"})
 
-    if final_bound is None:
-        final_bound = incumbent.value if np.isfinite(incumbent.value) else -np.inf
-        status = "optimal" if np.isfinite(incumbent.value) else status
+    if final_bound is None:  # tree exhausted: optimal, or no feasible point
+        final_bound = incumbent.value
+        if not np.isfinite(incumbent.value):
+            status = "infeasible"
     final_bound = max(final_bound, incumbent.value)
     gap = None
     if np.isfinite(incumbent.value):

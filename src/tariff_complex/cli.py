@@ -225,6 +225,8 @@ def _cmd_generate(args) -> int:
 def _report_exit(rep: SolveReport) -> int:
     if rep.status == "time_limit" and not rep.has_incumbent():
         return 3
+    if rep.status == "infeasible":
+        return 4
     return 0
 
 
@@ -267,7 +269,7 @@ def _cmd_solve(args) -> int:
 
 def _oracle_report(inst: Instance, res, beta) -> SolveReport:
     if res.pattern is None:
-        return SolveReport(status="optimal", objective=-math.inf, bound=None,
+        return SolveReport(status="infeasible", objective=-math.inf, bound=None,
                            gap=None, x=None, response=None, pattern=None,
                            node_count=res.n_total, wall_time_s=0.0)
     if beta is None:

@@ -8,16 +8,27 @@ Two entry points:
   over general polytopes ``{z : G z <= h, A z = b}``.
 
 The active-set method eliminates equalities through a null-space
-parametrization, finds a starting point with a phase-1 LP, and then iterates
+parametrization (an SVD, once per solve, since ``A`` may be rank-deficient),
+finds a starting point with a phase-1 LP, and then iterates
 equality-constrained steps.  The starting working set is an independent
 subset of the rows tight there, picked greedily by index with an incremental
-(twice Gram-Schmidt) rank test.  Each working set is factorized once: after a
-full Newton step that no row blocks, the iterate minimizes over the working
-set, so the next iteration goes straight to the multipliers (Nocedal &
-Wright, *Numerical Optimization*, Alg. 16.3) instead of recomputing a step
-that is zero up to roundoff.  Anti-cycling uses lexicographic tie-breaking on
-constraint indices, with a Bland-style fallback after repeated degenerate
-steps.  Everything is deterministic: identical inputs give identical iterates.
+(twice Gram-Schmidt) rank test.  Each working set is factorized once, by a
+Householder QR of its rows' transpose: the trailing columns of Q span the
+null space for the step, and the leading block with R gives the multipliers
+(Nocedal & Wright, *Numerical Optimization*, ch. 16).  Rows in the working
+set's span never join it, so the working rows stay independent and the
+unpivoted QR needs no rank decision: the ratio test considers only rows
+whose rate along the step exceeds ``1e-13 * max(1, |p|_inf)`` (a spanned
+row's rate is roundoff of order eps * |p|), and a blocking row that a
+``matrix_rank``-style test finds in the span anyway (spanned with large
+coefficients, which amplify that roundoff) is passed over.  LPs (Q = 0)
+skip the reduced-Hessian eigendecomposition: the step is the projected
+steepest-descent ray or zero.  After a full Newton step that no row blocks,
+the iterate minimizes over the working set, so the next iteration goes
+straight to the multipliers instead of recomputing a step that is zero up
+to roundoff.  Anti-cycling uses lexicographic tie-breaking on constraint
+indices, with a Bland-style fallback after repeated degenerate steps.
+Everything is deterministic: identical inputs give identical iterates.
 """
 
 from __future__ import annotations
@@ -169,34 +180,71 @@ def _independent_subset(G: np.ndarray, cand: np.ndarray, cap: int) -> list[int]:
     return keep
 
 
-def _working_set_step(Q, g, C, qscale):
-    """Step from x with gradient g on the manifold of the working rows C.
+def _factor_working_set(C: np.ndarray):
+    """Householder QR of the working rows: C' = Y R, with Z spanning C's null space.
+
+    Returns (Y, R, Z).  The rows are independent (the starting set is picked
+    by a rank test and the ratio test admits no row in their span), so R is
+    nonsingular without pivoting.
+    """
+    k = C.shape[0]
+    Qf, R = np.linalg.qr(C.T, mode="complete")
+    return Qf[:, :k], R[:k], Qf[:, k:]
+
+
+def _in_span(row: np.ndarray, Y: np.ndarray, R: np.ndarray, Z: np.ndarray) -> bool:
+    """Whether the unit row lies in the span of the working rows C' = Y R.
+
+    The residual ``|Z' row|`` divided by the norm of ``(R^-1 Y' row, -1)``
+    bounds the smallest singular value of C with row appended; the row is
+    spanned when that bound is below the tolerance ``matrix_rank`` would use
+    there (Frobenius norm for the largest singular value).  A spanned row's
+    residual is roundoff of order eps * |R^-1 Y' row|; one above 1e-8 would
+    need coefficients near 1e8, so it is taken as independent without the
+    solve with R.
+    """
+    resid = float(np.linalg.norm(Z.T @ row))
+    if resid > 1e-8:
+        return False
+    k, n = R.shape[0], row.size
+    coef = np.linalg.solve(R, Y.T @ row)
+    tol = max(k + 1, n) * np.finfo(float).eps * np.sqrt(np.sum(R * R) + row @ row)
+    return resid <= tol * np.sqrt(1.0 + coef @ coef)
+
+
+def _working_set_step(Q, g, Z, qscale):
+    """Step from x with gradient g on the manifold with null-space basis Z.
 
     Returns (p, ray): the Newton step to the minimizer on the manifold, or,
     when the reduced gradient has a component along zero curvature, a
-    descent ray scaled to unit max-norm.
+    descent ray scaled to unit max-norm.  With Q = 0 every reduced
+    eigenvalue is zero, so the eigendecomposition is skipped.
     """
     n = g.size
-    Z = _nullspace(C, n)
     if Z.shape[1] == 0:
         return np.zeros(n), False
     gz = Z.T @ g
-    Hz = Z.T @ Q @ Z
-    Hz = (Hz + Hz.T) / 2.0
-    lam_ev, U = np.linalg.eigh(Hz)
-    lam_max = max(float(lam_ev[-1]), 0.0)
-    # noise eigenvalues of a singular Hz scale with |Q|, not lam_max;
-    # treating them as curvature blows the Newton step up to ~1/noise
-    pos = lam_ev > 1e-11 * max(1.0, qscale, lam_max)
-    coef = U[:, pos].T @ gz
-    gz_null = gz - U[:, pos] @ coef
+    gz_null, newton = gz, None
+    if qscale > 0.0:
+        Hz = Z.T @ Q @ Z
+        Hz = (Hz + Hz.T) / 2.0
+        lam_ev, U = np.linalg.eigh(Hz)
+        lam_max = max(float(lam_ev[-1]), 0.0)
+        # noise eigenvalues of a singular Hz scale with |Q|, not lam_max;
+        # treating them as curvature blows the Newton step up to ~1/noise
+        pos = lam_ev > 1e-11 * max(1.0, qscale, lam_max)
+        if pos.any():
+            U = U[:, pos]
+            coef = U.T @ gz
+            gz_null = gz - U @ coef
+            newton = U @ (coef / lam_ev[pos])
     ray_tol = 1e-10 * max(1.0, float(np.abs(g).max(initial=0.0)))
     if float(np.abs(gz_null).max(initial=0.0)) > ray_tol:
         p = -(Z @ gz_null)
         return p / max(float(np.abs(p).max()), 1e-300), True
-    if pos.any():
-        return -(Z @ (U[:, pos] @ (coef / lam_ev[pos]))), False
-    return np.zeros(n), False
+    if newton is None:
+        return np.zeros(n), False
+    return -(Z @ newton), False
 
 
 def _active_set_core(Q, c, G, h, x0, max_iter):
@@ -218,29 +266,33 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
     # after an unblocked full Newton step x minimizes over the working set,
     # so the next iteration goes straight to the multipliers
     full_step = False
+    fact = None  # (Y, R, Z) of the working set; None once the set changes
     while it < max_iter:
         it += 1
         g = Q @ x + c
-        C = G[work] if work else np.zeros((0, n))
+        if fact is None:
+            fact = _factor_working_set(G[work])
+        Y, R, Z = fact
         if not full_step:
-            p, ray = _working_set_step(Q, g, C, qscale)
+            p, ray = _working_set_step(Q, g, Z, qscale)
         if full_step or (not ray and float(np.abs(p).max(initial=0.0))
                          <= 1e-12 * max(1.0, float(np.abs(x).max()))):
             # stationary on the working set: inspect multipliers
             full_step = False
             if not work:
                 return x, "optimal", work, np.zeros(0), it, None
-            slack_w = h[work] - C @ x
+            slack_w = h[work] - G[work] @ x
             stale = [i for i, sv in enumerate(slack_w) if sv > 1e-7]
             if stale:
                 # a row drifted out of tightness; its manifold is fiction
                 for i in reversed(stale):
                     work.pop(i)
+                fact = None
                 stall += 1
                 if stall > _STALL_LIMIT:
                     bland = True
                 continue
-            lam, *_ = np.linalg.lstsq(C.T, -g, rcond=None)
+            lam = np.linalg.solve(R, -(Y.T @ g))
             mult_tol = 1e-10 * max(1.0, float(np.abs(g).max(initial=0.0)))
             neg = [i for i, lv in enumerate(lam) if lv < -mult_tol]
             if not neg:
@@ -250,6 +302,7 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
             else:
                 drop = min(neg, key=lambda i: (lam[i], work[i]))
             work.pop(drop)
+            fact = None
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
@@ -260,9 +313,12 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
         slack = h - G @ x if m else np.zeros(0)
         in_work = np.zeros(m, dtype=bool)
         in_work[work] = True
-        cand = np.flatnonzero((d > 1e-13) & ~in_work)
+        # relative threshold: a row in the working set's span has d ~ eps*|p|,
+        # and admitting it would make the working set rank-deficient
+        cand = np.flatnonzero((d > 1e-13 * max(1.0, float(np.abs(p).max()))) & ~in_work)
         alpha_target = np.inf if ray else 1.0
-        if cand.size:
+        a_block, blocker = np.inf, None
+        while cand.size:
             ratios = np.maximum(slack[cand], 0.0) / d[cand]
             a_block = float(ratios.min())
             # tie-break only among rows actually tight after the step; an
@@ -270,7 +326,10 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
             margin = slack[cand] - a_block * d[cand]
             tight = cand[margin <= 1e-9 + 1e-12 * np.abs(a_block * d[cand])]
             blocker = int(tight.min())
-        else:
+            if a_block > alpha_target or not _in_span(G[blocker], Y, R, Z):
+                break
+            # spanned with large coefficients, its rate is amplified roundoff
+            cand = cand[cand != blocker]
             a_block, blocker = np.inf, None
         if ray and blocker is None:
             return x, "unbounded", work, np.zeros(len(work)), it, p
@@ -279,6 +338,7 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
         if blocker is not None and a_block <= alpha_target:
             work.append(blocker)
             work.sort()
+            fact = None
         else:
             full_step = True
         if alpha <= 1e-13:

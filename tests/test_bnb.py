@@ -23,7 +23,7 @@ from tariff_complex import (
     solve_det,
     solve_quad,
 )
-from tariff_complex import bnb
+from tariff_complex import bnb, subqp
 from conftest import line_instance, make_instance, tie_instance
 
 
@@ -157,6 +157,16 @@ def test_fixed_indicator_validation():
         solve_quad(inst, 1.0, fixed_z=np.zeros((3, 3)))
 
 
+def test_exhausted_tree_without_incumbent_is_infeasible():
+    # every option of segment 0 is switched off, so no node has a feasible point
+    inst = generate(GeneratorConfig(S=3, n_company_contracts=2, seed=0))
+    rep = solve_quad(inst, 0.05, fixed_z={(0, w): 0 for w in range(3)})
+    assert rep.status == "infeasible"
+    assert not rep.has_incumbent()
+    assert rep.objective == rep.bound == -np.inf
+    assert rep.gap is None
+
+
 def test_budget_statuses_and_gap_semantics():
     rng = np.random.default_rng(113)
     inst = make_instance(rng, S=3, W=2, H=2)
@@ -282,3 +292,44 @@ def test_iteration_capped_integral_point_is_split_not_closed(monkeypatch):
     assert rep.node_count >= 3
     assert rep.objective == pytest.approx(ref.objective, abs=1e-9)
     assert rep.bound >= rep.objective
+
+
+@pytest.mark.parametrize("S,W", [(5, 2), (8, 3)])
+def test_generated_node_active_sets_are_independent(monkeypatch, S, W):
+    # rows in the working set's span once slipped through the ratio test as
+    # zero-length blockers when the step was long, leaving dependent rows
+    solved = []
+    real = bnb.solve_qp
+
+    def wrapped(prob, **kw):
+        sol = real(prob, **kw)
+        solved.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(bnb, "solve_qp", wrapped)
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=0))
+    solve_quad(inst, 0.05, SolverOptions(node_limit=10))
+    optimal = [(prob, sol) for prob, sol in solved if sol.status == "optimal"]
+    assert optimal
+    for prob, sol in optimal:
+        rows = np.vstack([prob.G[sol.active_set], prob.A])
+        assert np.linalg.matrix_rank(rows) == rows.shape[0]
+
+
+def test_generated_det_working_sets_are_independent(monkeypatch):
+    # a bound row that big-M rows span with coefficients ~5e3 once joined a
+    # 40-row working set: its rate along a unit ray was roundoff (2.5e-13),
+    # above the step-relative threshold, and left R singular
+    real = subqp._factor_working_set
+    sizes = []
+
+    def checked(C):
+        assert np.linalg.matrix_rank(C) == C.shape[0]
+        sizes.append(C.shape[0])
+        return real(C)
+
+    monkeypatch.setattr(subqp, "_factor_working_set", checked)
+    inst = generate(GeneratorConfig(S=8, n_company_contracts=3, seed=18))
+    rep = solve_det(inst, SolverOptions(node_limit=30))
+    assert max(sizes) >= 40
+    assert rep.objective == pytest.approx(270.885860, abs=1e-6)

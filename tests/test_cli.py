@@ -10,13 +10,14 @@ import pytest
 from tariff_complex import (
     GeneratorConfig,
     Instance,
+    SolveReport,
     canonical_report,
     generate,
     load_instance,
     quad_profit,
     validate,
 )
-from tariff_complex.cli import main
+from tariff_complex.cli import _report_exit, main
 
 # market offers mirrored here so the reservation bills get an independent check
 _OFFERS = (
@@ -171,6 +172,18 @@ def test_cli_exit_three_without_incumbent(small_instance_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "time_limit"
     assert payload["value"] is None
+
+
+def test_report_exit_codes():
+    def report(status, x):
+        return SolveReport(status=status, objective=-np.inf if x is None else 1.0,
+                           bound=None, gap=None, x=x, response=None, pattern=None,
+                           node_count=1, wall_time_s=0.0)
+
+    assert _report_exit(report("infeasible", None)) == 4
+    assert _report_exit(report("time_limit", None)) == 3
+    for status in ("optimal", "gap_reached", "time_limit", "heuristic"):
+        assert _report_exit(report(status, np.ones((1, 1)))) == 0
 
 
 def test_cli_reports_are_byte_identical(small_instance_file, tmp_path):

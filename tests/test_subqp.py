@@ -217,3 +217,72 @@ def _rows_with_planted_dependencies(draw):
 def test_independent_subset_matches_matrix_rank_greedy(case):
     G, cand, cap = case
     assert _independent_subset(G, cand, cap) == _independent_subset_by_matrix_rank(G, cand, cap)
+
+
+@st.composite
+def _programs_with_dependent_tight_rows(draw):
+    """LP or convex QP whose optimum x* has planted dependent tight rows.
+
+    Duplicates, positive multiples and sums of two rows tight at x* are
+    tight there too; the data scale up to 1e4 so that steps are long.
+    """
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(0, 4))
+    x_star = rng.normal(size=n) * scale
+    T = rng.normal(size=(draw(st.integers(1, n)), n))
+    tight = list(T)
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["duplicate", "multiple", "sum"]))
+        i = draw(st.integers(0, len(tight) - 1))
+        j = draw(st.integers(0, len(tight) - 1))
+        if kind == "duplicate":
+            tight.append(tight[i].copy())
+        elif kind == "multiple":
+            tight.append(tight[i] * draw(st.floats(0.1, 10.0)))
+        else:
+            tight.append(tight[i] + tight[j])
+    tight = np.array(tight)
+    loose = rng.normal(size=(draw(st.integers(0, 4)), n))
+    box = np.vstack([np.eye(n), -np.eye(n)])  # keeps the LP bounded
+    G = np.vstack([tight, loose, box])
+    h = np.concatenate([tight @ x_star,
+                        loose @ x_star + rng.uniform(0.1, 1.0, len(loose)) * scale,
+                        np.abs(box @ x_star) + scale])
+    order = rng.permutation(len(h))
+    G, h = G[order], h[order]
+    mu = rng.uniform(0.1, 1.0, size=len(T))
+    if draw(st.booleans()):
+        B = rng.normal(size=(n, n))
+        Q = B @ B.T + 0.5 * np.eye(n)
+        c = -(Q @ x_star) - T.T @ mu * scale
+    else:
+        Q = None
+        c = -T.T @ mu
+    return QpProblem(Q=Q, c=c, G=G, h=h), scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs_with_dependent_tight_rows())
+def test_dependent_tight_rows_never_share_the_active_set(case):
+    prob, scale = case
+    sol = solve_qp(prob)
+    assert sol.status == "optimal"
+    G, h, c, Q = prob.G, prob.h, prob.c, prob.Q
+    tol = 1e-7 * max(1.0, abs(sol.value))
+    if not np.any(Q):
+        ref = linprog(c, A_ub=G, b_ub=h, bounds=(None, None), method="highs")
+        assert ref.status == 0
+        assert sol.value == pytest.approx(ref.fun, abs=tol)
+    else:
+        # SLSQP's line search stalls on the raw data at scale 1e4, so it
+        # solves the same program in y = z / scale, with f divided by scale^2
+        cs, hs = c / scale, h / scale
+        ref = minimize(lambda y: 0.5 * y @ Q @ y + cs @ y, np.zeros(prob.n),
+                       jac=lambda y: Q @ y + cs, method="SLSQP",
+                       constraints=[{"type": "ineq", "fun": lambda y: hs - G @ y}],
+                       options={"ftol": 1e-12, "maxiter": 500})
+        assert sol.value <= ref.fun * scale**2 + tol
+    active = G[sol.active_set]
+    assert np.linalg.matrix_rank(active) == len(sol.active_set)
+    assert sol.kkt_residual <= 1e-8
