@@ -10,6 +10,13 @@ activation indicators switched by big-M rows:
   with ``0 <= y_sw <= z_sw`` binary; the objective is the multiplier form of
   the profit, concave in ``(x, mu, ybar)``.
 
+The deterministic program is the limit of the regularized one: without the
+``(2/beta_s) ybar`` column and the ``y <= z`` rows, with ``ybar`` as the
+binaries.  One builder assembles both, and its big-M constants differ only
+by the headroom ``2/beta_s``.  One branch-and-bound loop serves both; each
+model supplies only how a price vector is evaluated exactly and how an
+integral node point is closed.
+
 Node relaxations drop integrality and are convex, solved by the in-house
 active-set method.  Search order is best bound (ties FIFO), branching is on
 the most fractional binary (ties lexicographic by (segment, option)).  Every
@@ -50,27 +57,27 @@ class BigM:
     M0: np.ndarray
 
 
-def bigm_det(inst: Instance) -> BigM:
-    """Constants dominating ``V_sw(x) - mu_s`` over the price box.
+def _bigm(inst: Instance, headroom: np.ndarray | float) -> BigM:
+    """Constants dominating ``V_sw(x) + headroom_s - mu_s`` over the price box.
 
     Uses ``mu_s >= min(0, min_w V_sw(x_lo))`` (attained disutility can only
     be that negative) and monotonicity of bills in prices.
     """
     theta_lo = inst.bills(inst.polytope.lower)
     theta_hi = inst.bills(inst.polytope.upper)
-    M0 = np.maximum(0.0, (inst.R - theta_lo).max(axis=1))
+    M0 = headroom + np.maximum(0.0, (inst.R - theta_lo).max(axis=1))
     M = theta_hi - inst.R + M0[:, None]
     return BigM(M=M, M0=M0)
+
+
+def bigm_det(inst: Instance) -> BigM:
+    """Constants dominating ``V_sw(x) - mu_s`` over the price box."""
+    return _bigm(inst, 0.0)
 
 
 def bigm_quad(inst: Instance, beta: Beta | float) -> BigM:
     """Deterministic constants shifted by the regularization headroom 2/beta_s."""
-    b = Beta.coerce(beta).per_segment(inst.S)
-    theta_lo = inst.bills(inst.polytope.lower)
-    theta_hi = inst.bills(inst.polytope.upper)
-    M0 = 2.0 / b + np.maximum(0.0, (inst.R - theta_lo).max(axis=1))
-    M = theta_hi - inst.R + M0[:, None]
-    return BigM(M=M, M0=M0)
+    return _bigm(inst, 2.0 / Beta.coerce(beta).per_segment(inst.S))
 
 
 @dataclass
@@ -79,14 +86,14 @@ class SolverOptions:
 
     ``gap`` defaults per model (1e-6 deterministic, 3e-2 regularized).
     ``node_limit`` exhaustion reports like a time limit.  ``collect_tree``
-    stores (parent bound, node bound) pairs for diagnostics.
+    stores (parent bound, node bound) pairs for diagnostics.  Progress goes
+    to the ``tariff_complex.bnb`` logger: one line per node at DEBUG, the
+    summary at INFO.
     """
 
     gap: float | None = None
     time_limit_s: float = 3600.0
     node_limit: int | None = None
-    trace_level: int = 0
-    int_tol: float = _INT_TOL
     collect_tree: bool = False
 
 
@@ -116,7 +123,6 @@ class SolveReport:
 class _Node:
     fixed_lo: np.ndarray  # per-binary lower bounds (0/1)
     fixed_hi: np.ndarray  # per-binary upper bounds (0/1)
-    bound: float
     warm: np.ndarray | None
     parent_bound: float
 
@@ -135,11 +141,86 @@ class _Incumbent:
         return False
 
 
-def _prices_box_rows(inst: Instance, n_total: int) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Program:
+    """Single-level big-M program ``min 1/2 v'Qv + c'v``, ``G v <= h``,
+    ``A v = b`` over ``v = [x (W*H), mu (S), ybar (S*(W+1)), z (S*(W+1))]``;
+    the det program has no ``z``.  ``bin_idx`` are the branching columns:
+    ``z``, or ``ybar`` for the det program."""
+
+    qp: QpProblem
+    bin_idx: np.ndarray
+    x_shape: tuple[int, int]
+
+
+def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Program:
+    """Build the det program (``bs`` None) or the regularized one.
+
+    Rows: the price box, then per (s, w) in s-major order the lower row
+    ``V_sw - mu_s >= 0``, the upper row ``V_sw - mu_s + M_sw b_sw <= M_sw``
+    and, regularized only, ``-y_sw <= 0`` and ``y_sw - z_sw <= 0``, where
+    ``V_sw`` carries ``(2/beta_s) y_sw`` in the regularized program.  The
+    det relaxations are degenerate LPs whose active-set path follows
+    row-index ties, so this order is part of the solver's behaviour.
+    """
+    S, W, H = inst.S, inst.W, inst.H
+    nx, n_bin = W * H, S * (W + 1)
+    n = nx + S + (n_bin if bs is None else 2 * n_bin)
+    k = np.arange(n_bin)
+    s, w = np.divmod(k, W + 1)
+    iy = nx + S + k
+    ib = iy if bs is None else iy + n_bin
+    buy = w >= 1
+    Ex = np.zeros((n_bin, W, H))
+    Ex[k[buy], w[buy] - 1] = inst.E[s[buy], w[buy] - 1]
+    gl = np.zeros((n_bin, n))
+    gl[:, :nx] = Ex.reshape(n_bin, nx)
+    if bs is not None:
+        gl[k, iy] = 2.0 / bs[s]
+    gl[k, nx + s] = -1.0
+    r = np.column_stack([np.zeros(S), inst.R]).ravel()
+    m = np.column_stack([mm.M0, mm.M]).ravel()
+    rows = 2 if bs is None else 4
+    Gs = np.zeros((n_bin, rows, n))
+    hs = np.zeros((n_bin, rows))
+    Gs[:, 0] = -gl
+    hs[:, 0] = -r
+    Gs[:, 1] = gl
+    Gs[k, 1, ib] = m
+    hs[:, 1] = m + r
+    if bs is not None:
+        Gs[k, 2, iy] = -1.0
+        Gs[k, 3, iy] = 1.0
+        Gs[k, 3, ib] = -1.0
     G_box, h_box = inst.polytope.rows()
-    G = np.zeros((G_box.shape[0], n_total))
-    G[:, : inst.W * inst.H] = G_box
-    return G, h_box
+    G_box = np.hstack([G_box, np.zeros((G_box.shape[0], n - nx))])
+    A = np.zeros((S, n))
+    A[s, iy] = 1.0
+    c = np.zeros(n)
+    c[nx: nx + S] = -inst.rho
+    c[iy[buy]] = (-inst.rho[:, None] * (inst.R - inst.C)).ravel()
+    Q = None
+    if bs is not None:
+        qdiag = np.zeros(n)
+        qdiag[iy] = (4.0 * inst.rho / bs)[s]
+        Q = np.diag(qdiag)
+    qp = QpProblem(Q=Q, c=c, G=np.vstack([G_box, Gs.reshape(-1, n)]),
+                   h=np.concatenate([h_box, hs.ravel()]), A=A, b=np.ones(S))
+    return _Program(qp=qp, bin_idx=ib, x_shape=(W, H))
+
+
+def _node_problem(prog: _Program, lo: np.ndarray, hi: np.ndarray) -> QpProblem:
+    """The program with rows ``b_k <= hi_k`` and ``-b_k <= -lo_k`` appended
+    in pairs, one pair per binary."""
+    qp, m = prog.qp, prog.bin_idx.size
+    G = np.zeros((2 * m, qp.n))
+    G[2 * np.arange(m), prog.bin_idx] = 1.0
+    G[2 * np.arange(m) + 1, prog.bin_idx] = -1.0
+    h = np.zeros(2 * m)
+    h[0::2] = hi
+    h[1::2] = -lo  # integer negation: a free binary's row reads +0.0, not -0.0
+    return QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, G]),
+                     h=np.concatenate([qp.h, h]), A=qp.A, b=qp.b)
 
 
 def solve_det(inst: Instance, opts: SolverOptions | None = None,
@@ -148,172 +229,27 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
     opts = opts or SolverOptions()
     gap_target = DEFAULT_GAP_DET if opts.gap is None else opts.gap
     t0 = time.perf_counter()
-    S, W, H = inst.S, inst.W, inst.H
-    nx = W * H
-    n_bin = S * (W + 1)
-    n = nx + S + n_bin  # x, mu, ybar
-    mm = bigm or bigm_det(inst)
+    S, W = inst.S, inst.W
+    prog = _bigm_program(inst, bigm or bigm_det(inst))
 
-    def iy(s, w):
-        return nx + S + s * (W + 1) + w
-
-    rows_G = []
-    rows_h = []
-    Gb, hb = _prices_box_rows(inst, n)
-    rows_G.append(Gb)
-    rows_h.append(hb)
-    for s in range(S):
-        for w in range(W + 1):
-            gl = np.zeros(n)
-            if w >= 1:
-                gl[(w - 1) * H: w * H] = inst.E[s, w - 1]
-            gl[nx + s] = -1.0
-            r = float(inst.R[s, w - 1]) if w >= 1 else 0.0
-            m = float(mm.M[s, w - 1]) if w >= 1 else float(mm.M0[s])
-            # lower side: V_sw - mu_s >= 0
-            rows_G.append(-gl[None, :])
-            rows_h.append(np.array([-r]))
-            # upper side: V_sw - mu_s + M y_sw <= M
-            gu = gl.copy()
-            gu[iy(s, w)] = m
-            rows_G.append(gu[None, :])
-            rows_h.append(np.array([m + r]))
-    G_fix = np.vstack(rows_G)
-    h_fix = np.concatenate(rows_h)
-    # simplex equalities
-    A = np.zeros((S, n))
-    for s in range(S):
-        A[s, iy(s, 0): iy(s, W) + 1] = 1.0
-    b = np.ones(S)
-    c = np.zeros(n)
-    c[nx: nx + S] = -inst.rho
-    for s in range(S):
-        c[iy(s, 1): iy(s, W) + 1] = -inst.rho[s] * (inst.R[s] - inst.C[s])
-
-    bin_idx = np.array([iy(s, w) for s in range(S) for w in range(W + 1)])
-
-    def relax(node):
-        G_bnd = np.zeros((2 * n_bin, n))
-        h_bnd = np.zeros(2 * n_bin)
-        for k, j in enumerate(bin_idx):
-            G_bnd[2 * k, j] = 1.0
-            h_bnd[2 * k] = node.fixed_hi[k]
-            G_bnd[2 * k + 1, j] = -1.0
-            h_bnd[2 * k + 1] = -node.fixed_lo[k]
-        prob = QpProblem(Q=None, c=c, G=np.vstack([G_fix, G_bnd]),
-                         h=np.concatenate([h_fix, h_bnd]), A=A, b=b)
-        return solve_qp(prob, warm_start=node.warm)
-
-    def heuristic(z, incumbent):
-        x = z[:nx].reshape(W, H)
+    def offer(x, incumbent):
         _, resp = det_response_set(inst, x)
-        val = _profit(inst, x, resp)
-        return incumbent.offer(val, x, resp, resp.support())
+        return incumbent.offer(_profit(inst, x, resp), x, resp, resp.support())
 
     def leaf_value(z, node, incumbent):
-        yv = z[bin_idx].reshape(S, W + 1)
+        yv = z[prog.bin_idx].reshape(S, W + 1)
         combo = tuple(int(np.argmax(yv[s])) for s in range(S))
-        res = pure_assignment_lp(inst, combo, warm=z[:nx])
+        res = pure_assignment_lp(inst, combo, warm=z[:W * inst.H])
         if res is None:
             return
         val, x = res
         y = np.zeros((S, W + 1))
-        for s, w in enumerate(combo):
-            y[s, w] = 1.0
+        y[np.arange(S), combo] = 1.0
         resp = ResponseMatrix(y)
         incumbent.offer(val, x, resp, resp.support())
 
-    return _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic,
-                             leaf_value, t0)
-
-
-@dataclass
-class _QuadProgram:
-    """Single-level big-M program data for the regularized model.
-
-    Variables are stacked [x (W*H), mu (S), ybar (S*(W+1)), z (S*(W+1))];
-    ``G z <= h``, ``A z = b`` hold the switched rows, simplex equalities and
-    the price box; the (min-form) objective is ``1/2 z'Qz + c'z``.
-    """
-
-    n: int
-    nx: int
-    n_bin: int
-    G: np.ndarray
-    h: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    Q: np.ndarray
-    c: np.ndarray
-    bin_idx: np.ndarray
-
-
-def _quad_program(inst: Instance, bs: np.ndarray, mm: BigM) -> _QuadProgram:
-    S, W, H = inst.S, inst.W, inst.H
-    nx = W * H
-    n_bin = S * (W + 1)
-    n = nx + S + 2 * n_bin
-
-    def iy(s, w):
-        return nx + S + s * (W + 1) + w
-
-    def iz(s, w):
-        return nx + S + n_bin + s * (W + 1) + w
-
-    rows_G = []
-    rows_h = []
-    Gb, hb = _prices_box_rows(inst, n)
-    rows_G.append(Gb)
-    rows_h.append(hb)
-    for s in range(S):
-        for w in range(W + 1):
-            gl = np.zeros(n)
-            if w >= 1:
-                gl[(w - 1) * H: w * H] = inst.E[s, w - 1]
-            gl[iy(s, w)] = 2.0 / bs[s]
-            gl[nx + s] = -1.0
-            r = float(inst.R[s, w - 1]) if w >= 1 else 0.0
-            m = float(mm.M[s, w - 1]) if w >= 1 else float(mm.M0[s])
-            rows_G.append(-gl[None, :])
-            rows_h.append(np.array([-r]))
-            gu = gl.copy()
-            gu[iz(s, w)] = m
-            rows_G.append(gu[None, :])
-            rows_h.append(np.array([m + r]))
-            # 0 <= y_sw <= z_sw
-            gy = np.zeros(n)
-            gy[iy(s, w)] = -1.0
-            rows_G.append(gy[None, :])
-            rows_h.append(np.array([0.0]))
-            gyz = np.zeros(n)
-            gyz[iy(s, w)] = 1.0
-            gyz[iz(s, w)] = -1.0
-            rows_G.append(gyz[None, :])
-            rows_h.append(np.array([0.0]))
-    A = np.zeros((S, n))
-    for s in range(S):
-        A[s, iy(s, 0): iy(s, W) + 1] = 1.0
-    qdiag = np.zeros(n)
-    c = np.zeros(n)
-    c[nx: nx + S] = -inst.rho
-    for s in range(S):
-        qdiag[iy(s, 0): iy(s, W) + 1] = 4.0 * inst.rho[s] / bs[s]
-        c[iy(s, 1): iy(s, W) + 1] = -inst.rho[s] * (inst.R[s] - inst.C[s])
-    bin_idx = np.array([iz(s, w) for s in range(S) for w in range(W + 1)])
-    return _QuadProgram(n=n, nx=nx, n_bin=n_bin, G=np.vstack(rows_G),
-                        h=np.concatenate(rows_h), A=A, b=np.ones(S),
-                        Q=np.diag(qdiag), c=c, bin_idx=bin_idx)
-
-
-def _bound_rows(qp: _QuadProgram, lo: np.ndarray, hi: np.ndarray):
-    G_bnd = np.zeros((2 * qp.n_bin, qp.n))
-    h_bnd = np.zeros(2 * qp.n_bin)
-    for k, j in enumerate(qp.bin_idx):
-        G_bnd[2 * k, j] = 1.0
-        h_bnd[2 * k] = hi[k]
-        G_bnd[2 * k + 1, j] = -1.0
-        h_bnd[2 * k + 1] = -lo[k]
-    return G_bnd, h_bnd
+    return _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0,
+                             *_parse_fixed(None, S, W))
 
 
 def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
@@ -327,15 +263,11 @@ def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
     probe.
     """
     bet = Beta.coerce(beta)
-    bs = bet.per_segment(inst.S)
-    mm = bigm or bigm_quad(inst, bet)
-    qp = _quad_program(inst, bs, mm)
+    prog = _bigm_program(inst, bigm or bigm_quad(inst, bet), bet.per_segment(inst.S))
     z = np.asarray(fixed_z, dtype=np.int8).ravel()
-    if z.size != qp.n_bin or not np.all((z == 0) | (z == 1)):
+    if z.size != prog.bin_idx.size or not np.all((z == 0) | (z == 1)):
         raise ValueError("fixed_z must be a binary S x (W+1) pattern")
-    G_bnd, h_bnd = _bound_rows(qp, z, z)
-    sol = solve_qp(QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, G_bnd]),
-                             h=np.concatenate([qp.h, h_bnd]), A=qp.A, b=qp.b))
+    sol = solve_qp(_node_problem(prog, z, z))
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
@@ -358,23 +290,14 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
     opts = opts or SolverOptions()
     gap_target = DEFAULT_GAP_QUAD if opts.gap is None else opts.gap
     t0 = time.perf_counter()
-    S, W, H = inst.S, inst.W, inst.H
+    S, W = inst.S, inst.W
     bet = Beta.coerce(beta)
     bs = bet.per_segment(S)
-    nx = W * H
     n_bin = S * (W + 1)
-    mm = bigm or bigm_quad(inst, bet)
-    qp = _quad_program(inst, bs, mm)
-    bin_idx = qp.bin_idx
+    prog = _bigm_program(inst, bigm or bigm_quad(inst, bet), bs)
     fix_lo, fix_hi = _parse_fixed(fixed_z, S, W)
 
-    def relax(node):
-        G_bnd, h_bnd = _bound_rows(qp, node.fixed_lo, node.fixed_hi)
-        prob = QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, G_bnd]),
-                         h=np.concatenate([qp.h, h_bnd]), A=qp.A, b=qp.b)
-        return solve_qp(prob, warm_start=node.warm)
-
-    def offer_at_x(x, incumbent):
+    def offer(x, incumbent):
         resp, details = quad_response(inst, x, bet)
         # the exact response must respect pinned indicators
         V = inst.disutilities(x)
@@ -389,26 +312,20 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
         val = _profit(inst, x, resp)
         return incumbent.offer(val, x, resp, resp.support())
 
-    def heuristic(z, incumbent):
-        return offer_at_x(z[:nx].reshape(W, H), incumbent)
-
     def leaf_value(z, node, incumbent):
-        zv = np.round(z[bin_idx]).astype(np.int8).reshape(S, W + 1)
+        zv = np.round(z[prog.bin_idx]).astype(np.int8).reshape(S, W + 1)
         zv = np.maximum(zv, node.fixed_lo.reshape(S, W + 1))
         zv = np.minimum(zv, node.fixed_hi.reshape(S, W + 1))
         if np.any(zv.sum(axis=1) == 0):
             return
         try:
-            x, val = solve_cell(inst, Pattern(zv), bet, warm=z[:nx])
+            x, _ = solve_cell(inst, Pattern(zv), bet, warm=z[:W * inst.H])
         except CellInfeasibleError:
             return
-        offer_at_x(x, incumbent)
+        offer(x, incumbent)
 
-    report = _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic,
-                               leaf_value, t0, fix_lo=fix_lo, fix_hi=fix_hi,
-                               warm_incumbent=warm_incumbent,
-                               incumbent_from_x=offer_at_x)
-    return report
+    return _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0,
+                             fix_lo, fix_hi, warm_incumbent)
 
 
 def _parse_fixed(fixed_z, S, W):
@@ -438,19 +355,19 @@ def _parse_fixed(fixed_z, S, W):
     return lo, hi
 
 
-def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_value,
-                      t0, fix_lo=None, fix_hi=None, warm_incumbent=None,
-                      incumbent_from_x=None):
-    n_bin = bin_idx.size
-    if fix_lo is None:
-        fix_lo = np.zeros(n_bin, dtype=np.int8)
-        fix_hi = np.ones(n_bin, dtype=np.int8)
+def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix_hi,
+                      warm_incumbent=None):
+    """Best-bound search over ``prog``'s binaries.  ``offer(x, incumbent)``
+    evaluates prices exactly and offers them to the incumbent;
+    ``leaf_value(z, node, incumbent)`` handles integral node points."""
+    bin_idx = prog.bin_idx
+    nx = prog.x_shape[0] * prog.x_shape[1]
     incumbent = _Incumbent()
-    if warm_incumbent is not None and incumbent_from_x is not None:
-        incumbent_from_x(np.asarray(warm_incumbent[0], dtype=float), incumbent)
+    if warm_incumbent is not None:
+        offer(np.asarray(warm_incumbent[0], dtype=float), incumbent)
 
-    root = _Node(fixed_lo=fix_lo.copy(), fixed_hi=fix_hi.copy(), bound=np.inf,
-                 warm=None, parent_bound=np.inf)
+    root = _Node(fixed_lo=fix_lo.copy(), fixed_hi=fix_hi.copy(), warm=None,
+                 parent_bound=np.inf)
     heap = [(-np.inf, 0, root)]
     seq = 1
     node_count = 0
@@ -484,7 +401,8 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
             break
 
         node_count += 1
-        sol = relax(node)
+        sol = solve_qp(_node_problem(prog, node.fixed_lo, node.fixed_hi),
+                       warm_start=node.warm)
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
@@ -501,38 +419,33 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
         if np.isfinite(incumbent.value) and bound <= incumbent.value + 1e-9 * scale:
             continue
 
-        heuristic(sol.z, incumbent)
+        offer(sol.z[:nx].reshape(prog.x_shape), incumbent)
         zb = sol.z[bin_idx]
-        frac = np.minimum(zb - np.floor(zb + opts.int_tol), np.ceil(zb - opts.int_tol) - zb)
+        frac = np.minimum(zb - np.floor(zb + _INT_TOL), np.ceil(zb - _INT_TOL) - zb)
         free = node.fixed_lo != node.fixed_hi
         frac = np.where(free, np.maximum(frac, 0.0), 0.0)
-        if capped and free.any() and float(frac.max()) <= opts.int_tol:
+        if capped and free.any() and float(frac.max()) <= _INT_TOL:
             # an integral capped point does not close the node: split the first
             # free binary (with none free, leaf_value solves the pinned pattern)
             frac = free.astype(float)
-        if float(frac.max(initial=0.0)) <= opts.int_tol:
+        if float(frac.max(initial=0.0)) <= _INT_TOL:
             leaf_value(sol.z, node, incumbent)
-            if opts.trace_level >= 2:
-                log.info("leaf node=%d bound=%.9g incumbent=%.9g t=%.3f",
-                         node_count, bound, incumbent.value, time.perf_counter() - t0)
-            trace.append({"node": node_count, "bound": bound,
-                          "incumbent": incumbent.value, "kind": "leaf"})
-            continue
-
-        j = int(np.argmax(frac))  # first max = lexicographic (s, w) tie-break
-        for v in (0, 1):
-            lo = node.fixed_lo.copy()
-            hi = node.fixed_hi.copy()
-            lo[j] = hi[j] = v
-            child = _Node(fixed_lo=lo, fixed_hi=hi, bound=bound, warm=sol.z.copy(),
-                          parent_bound=bound)
-            heapq.heappush(heap, (-bound, seq, child))
-            seq += 1
-        if opts.trace_level >= 2:
-            log.info("node=%d bound=%.9g incumbent=%.9g t=%.3f",
-                     node_count, bound, incumbent.value, time.perf_counter() - t0)
+            kind = "leaf"
+        else:
+            j = int(np.argmax(frac))  # first max = lexicographic (s, w) tie-break
+            for v in (0, 1):
+                lo = node.fixed_lo.copy()
+                hi = node.fixed_hi.copy()
+                lo[j] = hi[j] = v
+                child = _Node(fixed_lo=lo, fixed_hi=hi, warm=sol.z.copy(),
+                              parent_bound=bound)
+                heapq.heappush(heap, (-bound, seq, child))
+                seq += 1
+            kind = "branch"
+        log.debug("%s node=%d bound=%.9g incumbent=%.9g t=%.3f", kind, node_count,
+                  bound, incumbent.value, time.perf_counter() - t0)
         trace.append({"node": node_count, "bound": bound,
-                      "incumbent": incumbent.value, "kind": "branch"})
+                      "incumbent": incumbent.value, "kind": kind})
 
     if final_bound is None:  # tree exhausted: optimal, or no feasible point
         final_bound = incumbent.value
@@ -557,7 +470,6 @@ def _branch_and_bound(inst, opts, gap_target, relax, bin_idx, heuristic, leaf_va
     )
     if opts.collect_tree:
         report.extras["tree"] = tree_pairs
-    if opts.trace_level >= 1:
-        log.info("done status=%s objective=%.9g bound=%.9g nodes=%d",
-                 status, report.objective, report.bound, node_count)
+    log.info("done status=%s objective=%.9g bound=%.9g nodes=%d",
+             status, report.objective, report.bound, node_count)
     return report

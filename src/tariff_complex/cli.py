@@ -3,7 +3,8 @@
 Reports are canonical JSON (sorted keys, versioned schema, no timestamps or
 wall-clock fields), so a given seed and option set produces byte-identical
 output on every run.  Exit codes: 0 success, 2 validation or usage failure,
-3 solver hit its budget without finding any incumbent.
+3 solver hit its budget without finding any incumbent, 4 no feasible point
+exists.
 
 The synthetic generator builds electricity-retail instances: H = 3 price
 attributes per contract (peak and off-peak energy rates plus a fixed annual
@@ -35,6 +36,8 @@ from .qspc import QspcOptions, qspc
 from .response import det_response_set, quad_response
 
 log = logging.getLogger("tariff_complex.cli")
+
+_THREADS_HELP = "accepted and ignored: the engine is sequential"
 
 _TIME_OF_USE_SHIFT = 0.15  # share of peak consumption movable off peak
 
@@ -392,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=None)
     p.add_argument("--time-limit", type=float, default=3600.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)  # engine is sequential
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--max-patterns", type=int, default=1_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
@@ -423,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=None)
     p.add_argument("--time-limit", type=float, default=3600.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep_beta)
 

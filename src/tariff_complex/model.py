@@ -196,17 +196,6 @@ class InstanceError(ValueError):
     """Raised for instances that cannot even be constructed from JSON."""
 
 
-def bill(inst: Instance, s: int, w: int, x: np.ndarray) -> float:
-    """Bill of segment s on contract w (0-based contract index) at prices x."""
-    x = np.asarray(x, dtype=float).reshape(inst.W, inst.H)
-    return float(inst.E[s, w] @ x[w])
-
-
-def disutility(inst: Instance, s: int, x: np.ndarray) -> np.ndarray:
-    """Length-(W+1) option disutility vector of segment s; entry 0 is 0."""
-    return inst.disutilities(x)[s]
-
-
 def validate(inst: Instance, check_polytope: bool = True) -> list[str]:
     """Full structural validation; returns a list of violation messages.
 

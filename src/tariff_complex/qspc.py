@@ -87,11 +87,6 @@ class QspcState:
                          "phi": self.phi})
 
 
-def _cell_state(inst, beta, pattern, warm=None):
-    x, phi = solve_cell(inst, pattern, beta, warm=warm)
-    return x, phi
-
-
 def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
                            x_A: np.ndarray, phi_A: float,
                            mode: str = "per_pattern_qp",
@@ -132,7 +127,7 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
             if cand is None:
                 continue
             try:
-                x_c, phi_c = _cell_state(inst, bet, cand, warm=x_A)
+                x_c, phi_c = solve_cell(inst, cand, bet, warm=x_A)
             except CellInfeasibleError:
                 if counters is not None:
                     counters.n_infeasible_neighbors += 1
@@ -153,7 +148,7 @@ def _adopt_if_better(inst, bet, rep, A, x_A, phi_A, counters):
     if not rep.has_incumbent() or rep.pattern == A:
         return A, x_A, phi_A
     try:
-        x_n, phi_n = _cell_state(inst, bet, rep.pattern, warm=rep.x.ravel())
+        x_n, phi_n = solve_cell(inst, rep.pattern, bet, warm=rep.x.ravel())
     except CellInfeasibleError:
         return A, x_A, phi_A
     if phi_n > phi_A + _EPS_ACCEPT:
@@ -188,11 +183,11 @@ def miqp_restart(inst: Instance, beta: Beta | float, A: Pattern,
     coin = rng.random((S, W + 1)) < opts.sigma
     free |= coin
     if not free.any():
-        return A, *(warm or _cell_state(inst, bet, A))
+        return A, *(warm or solve_cell(inst, A, bet))
     fz = A.A.astype(np.int8).copy()
     fz[free] = -1
     if warm is None:
-        warm = _cell_state(inst, bet, A)
+        warm = solve_cell(inst, A, bet)
     x_A, phi_A = warm
     if counters is not None:
         counters.n_restarts += 1
@@ -225,7 +220,7 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
     t0 = time.perf_counter()
     x0 = _start_point(inst, start)
     A0 = pattern_of(inst, x0, bet)
-    x_A, phi_A = _cell_state(inst, bet, A0, warm=x0)
+    x_A, phi_A = solve_cell(inst, A0, bet, warm=x0)
     state = QspcState(pattern=A0, x=x_A, phi=phi_A)
     state.record("descent")
     rng = np.random.default_rng(opts.rng_seed)

@@ -1,11 +1,13 @@
 """Indicator bounds and the exact branch-and-bound solvers."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
 from tariff_complex import (
+    Beta,
     BigM,
     GeneratorConfig,
     Instance,
@@ -333,3 +335,125 @@ def test_generated_det_working_sets_are_independent(monkeypatch):
     rep = solve_det(inst, SolverOptions(node_limit=30))
     assert max(sizes) >= 40
     assert rep.objective == pytest.approx(270.885860, abs=1e-6)
+
+
+def _loop_bigm(inst, bs=None):
+    """Reference: big-M constants as computed before the headroom merge."""
+    theta_lo = inst.bills(inst.polytope.lower)
+    theta_hi = inst.bills(inst.polytope.upper)
+    M0 = np.maximum(0.0, (inst.R - theta_lo).max(axis=1))
+    if bs is not None:
+        M0 = 2.0 / bs + M0
+    return BigM(M=theta_hi - inst.R + M0[:, None], M0=M0)
+
+
+def _loop_program(inst, mm, bs=None):
+    """Reference: the per-(s, w) loop assembly of the det program (``bs``
+    None) and the regularized one.  Returns G, h, A, b, c, Q, bin_idx."""
+    S, W, H = inst.S, inst.W, inst.H
+    nx, n_bin = W * H, S * (W + 1)
+    n = nx + S + (n_bin if bs is None else 2 * n_bin)
+
+    def iy(s, w):
+        return nx + S + s * (W + 1) + w
+
+    def ib(s, w):
+        return iy(s, w) if bs is None else iy(s, w) + n_bin
+
+    G_box, h_box = inst.polytope.rows()
+    Gb = np.zeros((G_box.shape[0], n))
+    Gb[:, :nx] = G_box
+    rows_G, rows_h = [Gb], [h_box]
+    for s in range(S):
+        for w in range(W + 1):
+            gl = np.zeros(n)
+            if w >= 1:
+                gl[(w - 1) * H: w * H] = inst.E[s, w - 1]
+            if bs is not None:
+                gl[iy(s, w)] = 2.0 / bs[s]
+            gl[nx + s] = -1.0
+            r = float(inst.R[s, w - 1]) if w >= 1 else 0.0
+            m = float(mm.M[s, w - 1]) if w >= 1 else float(mm.M0[s])
+            gu = gl.copy()
+            gu[ib(s, w)] = m
+            rows_G += [-gl[None, :], gu[None, :]]
+            rows_h += [np.array([-r]), np.array([m + r])]
+            if bs is not None:
+                gy = np.zeros(n)
+                gy[iy(s, w)] = -1.0
+                gyz = np.zeros(n)
+                gyz[iy(s, w)] = 1.0
+                gyz[ib(s, w)] = -1.0
+                rows_G += [gy[None, :], gyz[None, :]]
+                rows_h += [np.array([0.0]), np.array([0.0])]
+    A = np.zeros((S, n))
+    c = np.zeros(n)
+    qdiag = np.zeros(n)
+    c[nx: nx + S] = -inst.rho
+    for s in range(S):
+        A[s, iy(s, 0): iy(s, W) + 1] = 1.0
+        c[iy(s, 1): iy(s, W) + 1] = -inst.rho[s] * (inst.R[s] - inst.C[s])
+        if bs is not None:
+            qdiag[iy(s, 0): iy(s, W) + 1] = 4.0 * inst.rho[s] / bs[s]
+    bin_idx = np.array([ib(s, w) for s in range(S) for w in range(W + 1)])
+    return (np.vstack(rows_G), np.concatenate(rows_h), A, np.ones(S), c,
+            np.diag(qdiag), bin_idx)
+
+
+def _loop_bound_rows(bin_idx, n, lo, hi):
+    G = np.zeros((2 * bin_idx.size, n))
+    h = np.zeros(2 * bin_idx.size)
+    for k, j in enumerate(bin_idx):
+        G[2 * k, j] = 1.0
+        h[2 * k] = hi[k]
+        G[2 * k + 1, j] = -1.0
+        h[2 * k + 1] = -lo[k]
+    return G, h
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("S,W,g", [(3, 2, 0), (5, 2, 1), (8, 3, 18), (10, 4, 0), (6, 3, 1)])
+def test_bigm_program_matches_loop_reference(S, W, g):
+    # the det relaxations are degenerate LPs whose active-set path follows
+    # row-index ties, so rows, columns and every float must match, sign of
+    # zero included
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=g))
+    rng = np.random.default_rng(g)
+    betas = (None, Beta(0.05), Beta(0.05, scales=rng.uniform(0.2, 5.0, size=S)))
+    for beta in betas:
+        bs = None if beta is None else beta.per_segment(S)
+        mm = bigm_det(inst) if beta is None else bigm_quad(inst, beta)
+        ref_mm = _loop_bigm(inst, bs)
+        assert _same_bytes(mm.M, ref_mm.M) and _same_bytes(mm.M0, ref_mm.M0)
+        prog = bnb._bigm_program(inst, mm, bs)
+        G, h, A, b, c, Q, bin_idx = _loop_program(inst, mm, bs)
+        assert _same_bytes(prog.bin_idx, bin_idx)
+        for _ in range(3):
+            state = rng.integers(-1, 2, size=bin_idx.size)  # -1 free, else fixed
+            lo = np.where(state == -1, 0, state).astype(np.int8)
+            hi = np.where(state == -1, 1, state).astype(np.int8)
+            node = bnb._node_problem(prog, lo, hi)
+            G_bnd, h_bnd = _loop_bound_rows(bin_idx, c.size, lo, hi)
+            assert _same_bytes(node.G, np.vstack([G, G_bnd]))
+            assert _same_bytes(node.h, np.concatenate([h, h_bnd]))
+            for got, want in ((node.A, A), (node.b, b), (node.c, c), (node.Q, Q)):
+                assert _same_bytes(got, want)
+
+
+def test_solve_quad_logs_progress(caplog):
+    inst = make_instance(np.random.default_rng(137), S=2, W=2, H=1)
+    with caplog.at_level(logging.INFO, logger="tariff_complex.bnb"):
+        rep = solve_quad(inst, 1.0, SolverOptions(gap=1e-6))
+    records = [r for r in caplog.records if r.name == "tariff_complex.bnb"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    assert records[0].getMessage().startswith(f"done status={rep.status} ")
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tariff_complex.bnb"):
+        solve_quad(inst, 1.0, SolverOptions(gap=1e-6))
+    nodes = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(nodes) == len(rep.trace)
+    assert [m.split()[0] for m in nodes] == [row["kind"] for row in rep.trace]

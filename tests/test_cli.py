@@ -1,12 +1,15 @@
 """Command-line interface and the synthetic instance generator."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tariff_complex
 from tariff_complex import (
     GeneratorConfig,
     Instance,
@@ -265,10 +268,14 @@ def test_canonical_report_is_stable():
 
 def test_console_script_entry_point(tmp_path):
     path = tmp_path / "g.json"
+    # the child imports the package this process imports, installed or not
+    src = str(Path(tariff_complex.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "tariff_complex.cli", "generate", "--segments",
          "1", "--contracts", "2", "--out", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     inst = load_instance(str(path))
     assert isinstance(inst, Instance)
