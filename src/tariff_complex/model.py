@@ -11,6 +11,7 @@ contract w corresponds to option index w + 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,6 +268,27 @@ def load_instance(path: str, strict: bool = True) -> Instance:
         if problems:
             raise InstanceError("; ".join(problems))
     return inst
+
+
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def canonical_report(payload: dict) -> str:
+    """Versioned JSON with sorted keys: equal payloads give equal bytes."""
+    body = {"schema_version": SCHEMA_VERSION}
+    body.update(_jsonable(payload))
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -227,8 +227,16 @@ def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
 
     Returns (argmax prices, value).  Raises :class:`CellInfeasibleError` on an
     empty cell.  Deterministic, and warm starts only change the path, not the
-    returned value.
+    returned value.  A QP that stopped at its iteration cap is returned as
+    solved; :func:`_solve_cell` also says whether that happened.
     """
+    x, value, _ = _solve_cell(inst, pattern, beta, warm)
+    return x, value
+
+
+def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
+                warm: np.ndarray | None = None) -> tuple[np.ndarray, float, bool]:
+    """:func:`solve_cell` plus whether the cell QP stopped at its iteration cap."""
     qp = cell_qp(inst, pattern, beta)
     system = cell_system(inst, pattern, beta)
     G, h = system.matrices()
@@ -240,7 +248,7 @@ def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
     if sol.status not in ("optimal", "iteration_limit"):
         raise RuntimeError(f"cell solve failed with status {sol.status}")
     x = sol.z.reshape(inst.W, inst.H)
-    return x, qp.d - sol.value
+    return x, qp.d - sol.value, sol.status == "iteration_limit"
 
 
 def asymptotic_cell_system(inst: Instance, pattern: Pattern) -> CellSystem:
@@ -320,11 +328,15 @@ def neighbors(inst: Instance, pattern: Pattern, beta: Beta | float,
 
 @dataclass
 class OracleResult:
+    """Best cell found.  ``n_capped`` counts feasible cells whose QP stopped at
+    its iteration cap: their values are not certified optima."""
+
     value: float
     pattern: Pattern | None
     x: np.ndarray | None
     n_feasible: int
     n_total: int
+    n_capped: int = 0
 
 
 def count_patterns(S: int, W: int) -> int:
@@ -351,10 +363,11 @@ def quad_oracle(inst: Instance, beta, max_patterns: int | None = None) -> Oracle
     best = OracleResult(value=-np.inf, pattern=None, x=None, n_feasible=0, n_total=total)
     for pat in enumerate_patterns(inst.S, inst.W):
         try:
-            x, val = solve_cell(inst, pat, beta)
+            x, val, capped = _solve_cell(inst, pat, beta)
         except CellInfeasibleError:
             continue
         best.n_feasible += 1
+        best.n_capped += capped
         if val > best.value:
             best.value, best.pattern, best.x = val, pat, x
     return best

@@ -13,6 +13,9 @@ vector V (V[0] = 0):
 
 The regularization strength ``beta`` may carry optional per-segment scale
 factors, giving segment s an effective strength ``scales[s] * beta``.
+
+Each rule runs once over the whole (S, W+1) disutility matrix; the one-row
+functions ``quad_response_row`` and ``logit_row`` call the same kernels.
 """
 
 from __future__ import annotations
@@ -82,49 +85,57 @@ class QuadResponseDetail:
         return max(float(r_stat), r_feas, r_comp)
 
 
-def quad_response_row(V: np.ndarray, beta: float) -> QuadResponseDetail:
-    """Closed-form regularized split for one segment.
+def _quad_split(V: np.ndarray, b: np.ndarray):
+    """Closed-form regularized split of every row of V, row s at strength b[s].
 
-    Sort V ascending (stable, so ties keep original index order).  With
-    prefix thresholds ``c_j = (2/beta + sum of the j smallest V) / j``, the
-    support size tau is the first j whose next sorted value reaches c_j;
-    if none does, every option stays active.  Kept options get mass
-    ``(beta/2)(c_tau - V_w)``; excluded ones get multiplier ``V_w - c_tau``.
+    Sort each row ascending (stable, so ties keep original index order).  With
+    prefix thresholds ``c_j = (2/b + sum of the j smallest V) / j``, the
+    support size tau is the first j whose next sorted value reaches c_j; if
+    none does, every option stays active (tau = n).  Kept options get mass
+    ``(b/2)(c_tau - V_w)``; excluded ones get multiplier ``V_w - c_tau``.
+    Returns ``(ybar, lam, order, tau, mu)`` with one row or entry per row of V.
     """
-    V = np.asarray(V, dtype=float).ravel()
-    n = V.size
-    order = np.argsort(V, kind="stable")
-    Vs = V[order]
-    prefix = np.cumsum(Vs)
-    tau = n
-    c_tau = (2.0 / beta + prefix[-1]) / n
-    for j in range(1, n):
-        c_j = (2.0 / beta + prefix[j - 1]) / j
-        if Vs[j] >= c_j:
-            tau = j
-            c_tau = c_j
-            break
-    y_s = np.zeros(n)
-    y_s[:tau] = (beta / 2.0) * (c_tau - Vs[:tau])
-    y_s = np.maximum(y_s, 0.0)
-    y_s /= y_s.sum()
-    lam_s = np.zeros(n)
-    lam_s[tau:] = Vs[tau:] - c_tau
-    y = np.zeros(n)
-    lam = np.zeros(n)
-    y[order] = y_s
-    lam[order] = lam_s
-    return QuadResponseDetail(ybar=y, tau=tau, mu=float(c_tau), lam=lam,
-                              order=order, beta=float(beta))
+    S, n = V.shape
+    rows = np.arange(S)
+    order = np.argsort(V, axis=1, kind="stable")
+    at = (order + n * rows[:, None]).ravel()  # flat positions of the sorted entries
+    Vs = V.ravel()[at].reshape(S, n)
+    c = (2.0 / b[:, None] + np.cumsum(Vs, axis=1)) / np.arange(1, n + 1)
+    # hit[:, j-1]: Vs[j] >= c_j; the closing True column makes tau = n a hit
+    hit = np.ones((S, n), dtype=bool)
+    hit[:, :-1] = Vs[:, 1:] >= c[:, :-1]
+    tau = hit.argmax(axis=1) + 1
+    mu = c[rows, tau - 1]
+    kept = np.arange(n) < tau[:, None]
+    y_s = np.maximum(np.where(kept, (b[:, None] / 2.0) * (mu[:, None] - Vs), 0.0), 0.0)
+    y_s /= y_s.sum(axis=1, keepdims=True)
+    lam_s = np.where(kept, 0.0, Vs - mu[:, None])
+    ybar = np.empty(S * n)
+    lam = np.empty(S * n)
+    ybar[at] = y_s.ravel()
+    lam[at] = lam_s.ravel()
+    return ybar.reshape(S, n), lam.reshape(S, n), order, tau, mu
+
+
+def _quad_details(V: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[QuadResponseDetail]]:
+    ybar, lam, order, tau, mu = _quad_split(V, b)
+    return ybar, [QuadResponseDetail(ybar=y, tau=t, mu=m, lam=lm, order=o, beta=bs)
+                  for y, t, m, lm, o, bs in zip(ybar, tau.tolist(), mu.tolist(), lam,
+                                                order, b.tolist())]
+
+
+def quad_response_row(V: np.ndarray, beta: float) -> QuadResponseDetail:
+    """Closed-form regularized split for one segment (see :func:`_quad_split`)."""
+    V = np.asarray(V, dtype=float).reshape(1, -1)
+    return _quad_details(V, np.array([beta], dtype=float))[1][0]
 
 
 def quad_response(inst: Instance, x: np.ndarray,
                   beta: Beta | float) -> tuple[ResponseMatrix, list[QuadResponseDetail]]:
     """Regularized response of every segment at prices x."""
     b = Beta.coerce(beta).per_segment(inst.S)
-    V = inst.disutilities(x)
-    details = [quad_response_row(V[s], b[s]) for s in range(inst.S)]
-    return ResponseMatrix(np.array([d.ybar for d in details])), details
+    ybar, details = _quad_details(inst.disutilities(x), b)
+    return ResponseMatrix(ybar), details
 
 
 def quad_profit(inst: Instance, x: np.ndarray, beta: Beta | float) -> float:
@@ -132,17 +143,22 @@ def quad_profit(inst: Instance, x: np.ndarray, beta: Beta | float) -> float:
     return profit(inst, x, resp)
 
 
-def logit_row(V: np.ndarray, beta: float) -> np.ndarray:
-    a = -beta * np.asarray(V, dtype=float)
-    a = a - a.max()  # overflow guard, invariant under the normalization
+def _softmax(V: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``-b[s] V[s]``."""
+    a = -b[:, None] * V
+    a -= a.max(axis=1, keepdims=True)  # overflow guard, invariant under the normalization
     e = np.exp(a)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def logit_row(V: np.ndarray, beta: float) -> np.ndarray:
+    return _softmax(np.asarray(V, dtype=float).reshape(1, -1),
+                    np.array([beta], dtype=float))[0]
 
 
 def logit_response(inst: Instance, x: np.ndarray, beta: Beta | float) -> ResponseMatrix:
     b = Beta.coerce(beta).per_segment(inst.S)
-    V = inst.disutilities(x)
-    return ResponseMatrix(np.array([logit_row(V[s], b[s]) for s in range(inst.S)]))
+    return ResponseMatrix(_softmax(inst.disutilities(x), b))
 
 
 def logit_profit(inst: Instance, x: np.ndarray, beta: Beta | float) -> float:
@@ -159,15 +175,15 @@ def det_response_set(inst: Instance, x: np.ndarray,
     index on exact margin ties.
     """
     V = inst.disutilities(x)
-    margins = inst.margins(x)
-    sets: list[np.ndarray] = []
-    y = np.zeros((inst.S, inst.W + 1))
-    for s in range(inst.S):
-        ties = np.flatnonzero(V[s] <= V[s].min() + eps_tie)
-        sets.append(ties)
-        gain = np.where(ties == 0, 0.0, inst.rho[s] * margins[s, ties - 1])
-        best = ties[int(np.argmax(gain))]  # argmax keeps the first = lowest index
-        y[s, best] = 1.0
+    ties = V <= V.min(axis=1, keepdims=True) + eps_tie
+    gain = np.zeros_like(V)
+    gain[:, 1:] = inst.rho[:, None] * inst.margins(x)
+    best = np.where(ties, gain, -np.inf).argmax(axis=1)  # argmax keeps the first = lowest index
+    y = np.zeros_like(V)
+    y[np.arange(inst.S), best] = 1.0
+    _, opt = np.nonzero(ties)
+    ends = np.cumsum(ties.sum(axis=1)).tolist()
+    sets = [opt[a:e] for a, e in zip([0] + ends, ends)]
     return sets, ResponseMatrix(y)
 
 

@@ -266,6 +266,20 @@ def test_canonical_report_is_stable():
     assert json.loads(a) == {"schema_version": 1, "a": [0, 1, 2], "b": 1.5}
 
 
+def test_module_entry_point_runs_without_runpy_warning():
+    # importing the package must not import the cli module ahead of runpy
+    src = str(Path(tariff_complex.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "tariff_complex.cli", "generate",
+         "--segments", "2", "--contracts", "2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+    assert Instance.from_json(proc.stdout).S == 2
+
+
 def test_console_script_entry_point(tmp_path):
     path = tmp_path / "g.json"
     # the child imports the package this process imports, installed or not

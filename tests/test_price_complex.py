@@ -1,5 +1,7 @@
 """Cell geometry of the regularized response and the enumeration oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from tariff_complex import (
     quad_response,
     solve_cell,
 )
+from tariff_complex import price_complex
+from tariff_complex.cli import _oracle_report
 from conftest import interior_point, line_instance, make_instance, tie_instance
 
 
@@ -253,3 +257,27 @@ def test_quad_oracle_beats_every_sampled_price(tiny_set, tiny_beta_list,
             x = rng.uniform(0.0, 4.0, size=(inst.W, inst.H))
             assert quad_profit(inst, x, beta) <= res.value + 1e-8
         assert quad_profit(inst, res.x, beta) == pytest.approx(res.value, abs=1e-8)
+
+
+def test_quad_oracle_counts_iteration_capped_cells(monkeypatch):
+    inst = make_instance(np.random.default_rng(53), S=2, W=1, H=2)
+    beta = 2.0
+    exact = quad_oracle(inst, beta)
+    assert exact.n_capped == 0 and exact.n_feasible > 0
+    solve_qp = price_complex.solve_qp
+
+    def capped(prob, **kwargs):
+        sol = solve_qp(prob, **kwargs)
+        if sol.status == "optimal":
+            return dataclasses.replace(sol, status="iteration_limit")
+        return sol
+
+    monkeypatch.setattr(price_complex, "solve_qp", capped)
+    res = quad_oracle(inst, beta)
+    assert res.n_capped == res.n_feasible == exact.n_feasible
+    assert res.value == exact.value and res.pattern == exact.pattern
+    assert _oracle_report(inst, res, beta).extras == {
+        "n_feasible": res.n_feasible, "n_capped": res.n_capped}
+    # the local search still takes a capped cell as solved
+    _, value = solve_cell(inst, exact.pattern, beta)
+    assert value == exact.value

@@ -1,14 +1,21 @@
 """Regularized, logit, and deterministic customer responses."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tariff_complex import (
     Beta,
+    Instance,
+    PricePolytope,
     QpProblem,
     det_profit,
     det_response_set,
     logit_profit,
+    logit_response,
     logit_row,
     penalization_equivalence_check,
     project_simplex,
@@ -18,6 +25,8 @@ from tariff_complex import (
     quad_response_row,
     solve_qp,
 )
+from tariff_complex import response
+from tariff_complex.model import EPS_TIE
 from conftest import make_instance, tie_instance
 
 
@@ -162,3 +171,158 @@ def test_beta_validation():
     assert Beta.coerce(3.0).per_segment(4) == pytest.approx([3.0] * 4)
     with pytest.raises(ValueError):
         Beta(value=1.0, scales=np.ones(3)).per_segment(4)
+
+
+# ---------------------------------------------------------------------------
+# The per-segment loops the batched kernels replaced, kept as the reference.
+
+
+def _loop_quad_row(V, beta):
+    """Reference: the one-row threshold loop.  Returns ybar, lam, order, tau, mu."""
+    n = V.size
+    order = np.argsort(V, kind="stable")
+    Vs = V[order]
+    prefix = np.cumsum(Vs)
+    tau = n
+    c_tau = (2.0 / beta + prefix[-1]) / n
+    for j in range(1, n):
+        c_j = (2.0 / beta + prefix[j - 1]) / j
+        if Vs[j] >= c_j:
+            tau = j
+            c_tau = c_j
+            break
+    y_s = np.zeros(n)
+    y_s[:tau] = (beta / 2.0) * (c_tau - Vs[:tau])
+    y_s = np.maximum(y_s, 0.0)
+    y_s /= y_s.sum()
+    lam_s = np.zeros(n)
+    lam_s[tau:] = Vs[tau:] - c_tau
+    y = np.zeros(n)
+    lam = np.zeros(n)
+    y[order] = y_s
+    lam[order] = lam_s
+    return y, lam, order, tau, float(c_tau)
+
+
+def _loop_logit_row(V, beta):
+    a = -beta * V
+    a = a - a.max()
+    e = np.exp(a)
+    return e / e.sum()
+
+
+def _loop_det(inst, x, eps_tie=EPS_TIE):
+    """Reference: tie sets and the seller-optimal one-hot, one segment at a time."""
+    V = inst.disutilities(x)
+    margins = inst.margins(x)
+    sets = []
+    y = np.zeros((inst.S, inst.W + 1))
+    for s in range(inst.S):
+        ties = np.flatnonzero(V[s] <= V[s].min() + eps_tie)
+        sets.append(ties)
+        gain = np.where(ties == 0, 0.0, inst.rho[s] * margins[s, ties - 1])
+        y[s, ties[int(np.argmax(gain))]] = 1.0
+    return sets, y
+
+
+def _assert_same_quad(details, ybar, V, b):
+    for s, d in enumerate(details):
+        y, lam, order, tau, mu = _loop_quad_row(V[s], b[s])
+        assert np.array_equal(d.ybar, y) and np.array_equal(ybar[s], y)
+        assert np.array_equal(d.lam, lam)
+        assert np.array_equal(d.order, order)
+        assert d.tau == tau and type(d.tau) is int
+        assert d.mu == mu and type(d.mu) is float
+        assert d.beta == b[s]
+
+
+# Entries are small integers (exact ties, within and across rows) or floats,
+# times one power of ten per case.
+_entries = st.one_of(st.integers(-4, 4).map(float),
+                     st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def _disutility_rows(draw):
+    """(V, b): S rows of n >= 1 options (n = 1 included) and per-row strengths
+    spanning 1e-9 to 1e9."""
+    S = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    V = np.array(draw(st.lists(_entries, min_size=S * n, max_size=S * n))).reshape(S, n) * scale
+    b = 10.0 ** np.array(draw(st.lists(st.floats(-9.0, 9.0), min_size=S, max_size=S)))
+    return V, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disutility_rows())
+def test_batched_kernels_match_row_loops(case):
+    V, b = case
+    ybar, details = response._quad_details(V, b)
+    _assert_same_quad(details, ybar, V, b)
+    logit = response._softmax(V, b)
+    for s in range(V.shape[0]):
+        ref = _loop_logit_row(V[s], b[s])
+        assert np.array_equal(logit[s], ref)
+        assert np.array_equal(logit_row(V[s], b[s]), ref)
+        row = quad_response_row(V[s], b[s])
+        assert np.array_equal(row.ybar, ybar[s]) and np.array_equal(row.lam, details[s].lam)
+
+
+def _ints(draw, lo, hi, k):
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+
+
+@st.composite
+def _integer_instances(draw):
+    """One-attribute instance with unit consumption and integer bills, costs
+    and reservations, so disutilities tie exactly and tied options often
+    share a margin (a zero margin ties with no purchase); per-segment Beta
+    scales."""
+    S = draw(st.integers(1, 6))
+    W = draw(st.integers(1, 4))
+    inst = Instance(S=S, W=W, H=1, E=np.ones((S, W, 1)),
+                    R=_ints(draw, 0, 4, S * W).reshape(S, W),
+                    C=_ints(draw, 0, 4, S * W).reshape(S, W), rho=_ints(draw, 1, 3, S),
+                    polytope=PricePolytope(lower=np.zeros((W, 1)), upper=np.full((W, 1), 4.0)))
+    x = _ints(draw, 0, 4, W).reshape(W, 1)
+    value = 10.0 ** draw(st.floats(-9.0, 9.0))
+    scales = 10.0 ** _ints(draw, -2, 2, S) if draw(st.booleans()) else None
+    return inst, x, Beta(value, scales)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_instances())
+def test_batched_responses_match_segment_loops(case):
+    inst, x, beta = case
+    V = inst.disutilities(x)
+    b = beta.per_segment(inst.S)
+    resp, details = quad_response(inst, x, beta)
+    _assert_same_quad(details, resp.ybar, V, b)
+    ref = np.array([_loop_logit_row(V[s], b[s]) for s in range(inst.S)])
+    assert np.array_equal(logit_response(inst, x, beta).ybar, ref)
+    for eps_tie in (EPS_TIE, 1.0):
+        sets, det = det_response_set(inst, x, eps_tie)
+        ref_sets, ref_y = _loop_det(inst, x, eps_tie)
+        assert np.array_equal(det.ybar, ref_y)
+        assert len(sets) == len(ref_sets)
+        for got, want in zip(sets, ref_sets):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_profits_call_their_response_once(monkeypatch):
+    # The benchmark tracer times each layer by wrapping these module globals.
+    calls = Counter()
+    for name in ("quad_response", "logit_response", "det_response_set"):
+        def counted(*args, _fn=getattr(response, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(response, name, counted)
+    inst = make_instance(np.random.default_rng(47), S=4, W=2, H=2)
+    x = inst.polytope.midpoint()
+    for evaluate, name in ((lambda: quad_profit(inst, x, 0.5), "quad_response"),
+                           (lambda: logit_profit(inst, x, 0.5), "logit_response"),
+                           (lambda: det_profit(inst, x), "det_response_set")):
+        calls.clear()
+        evaluate()
+        assert calls == {name: 1}
