@@ -9,8 +9,11 @@ set, the defining rows at strength beta_s are, for every option w:
 * active   (A[s,w] = 1):  ``a_s V_sw <= 2/beta_s + sum_{w' in act(s)} V_sw'``
 
 Active rows are strict for exact-support classification and closed in every
-solved system (their closure).  On a closed cell the profit is an explicit
-concave quadratic in the prices, which is what the local search descends on.
+solved system (their closure).  As beta -> inf the offsets vanish and the
+cell of a pattern becomes its limit cell in the deterministic model, where
+active options tie at the segment minimum: ``cell_system(inst, A, None)``.
+On a closed cell the profit is an explicit concave quadratic in the prices,
+which is what the local search descends on.
 """
 
 from __future__ import annotations
@@ -29,110 +32,94 @@ class CellInfeasibleError(ValueError):
     """Raised when asked to optimize over an empty cell."""
 
 
-@dataclass(frozen=True)
-class CellRow:
-    """One inequality ``<g, vec(x)> <= h``.
-
-    ``segment``/``option`` identify the pattern row that generated it
-    (both None for price-polytope rows); ``side`` is the pattern entry
-    (1 = active, 0 = inactive); strict rows are open in the exact-support
-    classification but solved as closures.
-    """
-
-    g: np.ndarray
-    h: float
-    segment: int | None
-    option: int | None
-    side: int | None
-    strict: bool
-
-
 @dataclass
 class CellSystem:
-    """Inequality description of one (closed) cell, polytope rows included."""
+    """Inequality description ``G vec(x) <= h`` of one (closed) cell.
+
+    Pattern rows come first, segment by segment and option by option (see
+    :func:`cell_system` for the one row left out), then the price-polytope
+    rows.  ``strict`` marks the active rows, which are open in the
+    exact-support classification but solved as their closure.
+    """
 
     pattern: Pattern
-    beta: float | None  # None encodes the asymptotic system (1/beta = 0)
-    rows: list[CellRow]
+    beta: Beta | float | None  # None encodes the limit system (1/beta = 0)
+    G: np.ndarray
+    h: np.ndarray
+    strict: np.ndarray
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        G = np.array([r.g for r in self.rows])
-        h = np.array([r.h for r in self.rows])
-        return G, h
+        return self.G, self.h
 
     def contains(self, x: np.ndarray, tol: float = EPS_FEAS) -> bool:
         v = np.asarray(x, dtype=float).ravel()
-        return all(float(r.g @ v) <= r.h + tol for r in self.rows)
+        return bool(np.all(self.G @ v <= self.h + tol))
 
     def strictly_classifies(self, x: np.ndarray, tol: float = 0.0) -> bool:
         """Closed rows within tol and strict rows with positive slack."""
-        v = np.asarray(x, dtype=float).ravel()
-        for r in self.rows:
-            val = float(r.g @ v)
-            if r.strict:
-                if val >= r.h - tol:
-                    return False
-            elif val > r.h + tol:
-                return False
-        return True
+        val = self.G @ np.asarray(x, dtype=float).ravel()
+        return bool(np.all(np.where(self.strict, val < self.h - tol, val <= self.h + tol)))
 
 
-def _option_affine(inst: Instance, s: int, w: int) -> tuple[np.ndarray, float]:
-    """Disutility of option w as (gradient over vec(x), constant)."""
-    n = inst.W * inst.H
-    g = np.zeros(n)
-    if w == 0:
-        return g, 0.0
-    g[(w - 1) * inst.H: w * inst.H] = inst.E[s, w - 1]
-    return g, -float(inst.R[s, w - 1])
+def _option_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Every option's disutility ``V_sw = <g_sw, vec(x)> - r_sw``.
+
+    Returns the gradients, shape (S, W+1, W*H), and the reservations, shape
+    (S, W+1); the walk-away option (w = 0) has both zero.
+    """
+    S, W, H = inst.S, inst.W, inst.H
+    g = np.zeros((S, W + 1, W, H))
+    g[:, np.arange(1, W + 1), np.arange(W), :] = inst.E
+    r = np.concatenate([np.zeros((S, 1)), inst.R], axis=1)
+    return g.reshape(S, W + 1, W * H), r
 
 
-def _beta_inverses(inst: Instance, beta) -> np.ndarray:
-    """Per-segment 2/beta_s; zeros for the asymptotic system."""
-    if beta is None or (isinstance(beta, float) and np.isinf(beta)):
-        return np.zeros(inst.S)
-    b = Beta.coerce(beta).per_segment(inst.S)
-    return 2.0 / b
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, one term at a time onto zeros.
+
+    Unlike ``np.sum``, which may pair terms up, the order is fixed, so the
+    cell arrays stay bitwise stable.
+    """
+    zero = np.zeros((1,) + terms.shape[1:])
+    return np.add.accumulate(np.concatenate([zero, terms]), axis=0)[-1]
+
+
+def _active_sums(A: np.ndarray, g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment sums of the active options' gradients (S, n) and
+    reservations (S,), added in option order."""
+    g_sum = _in_order(np.where(A[:, :, None], g, 0.0).swapaxes(0, 1))
+    r_sum = _in_order(np.where(A, r, 0.0).T)
+    return g_sum, r_sum
 
 
 def cell_system(inst: Instance, pattern: Pattern, beta) -> CellSystem:
     """Defining rows of the cell of ``pattern`` at strength ``beta``.
 
     ``beta`` may be a float, a :class:`Beta`, math.inf or None; the last two
-    give the asymptotic rows (the 2/beta offsets vanish).
+    give the limit cell of the deterministic model (the 2/beta offsets
+    vanish).  A segment with a single active option would contribute the
+    row ``0 <= 2/beta_s``; it carries no information, and in the limit it
+    would read ``0 < 0`` and empty the cell's interior, so it is left out.
     """
     _check_pattern(inst, pattern)
-    two_over = _beta_inverses(inst, beta)
-    rows: list[CellRow] = []
-    for s in range(inst.S):
-        act = pattern.active(s)
-        a = len(act)
-        g_sum = np.zeros(inst.W * inst.H)
-        r_sum = 0.0
-        for w in act:
-            g, d = _option_affine(inst, s, int(w))
-            g_sum += g
-            r_sum += -d  # d = -reservation
-        for w in range(inst.W + 1):
-            g, d = _option_affine(inst, s, w)
-            r_w = -d
-            if pattern.A[s, w]:
-                # a V_w - sum_act V <= 2/beta
-                rows.append(CellRow(g=a * g - g_sum, h=two_over[s] + a * r_w - r_sum,
-                                    segment=s, option=w, side=1, strict=True))
-            else:
-                # sum_act V - a V_w <= -2/beta
-                rows.append(CellRow(g=g_sum - a * g, h=-two_over[s] + r_sum - a * r_w,
-                                    segment=s, option=w, side=0, strict=False))
-    rows.extend(_polytope_rows(inst))
-    bval = None if beta is None or (isinstance(beta, float) and np.isinf(beta)) else beta
-    return CellSystem(pattern=pattern, beta=bval, rows=rows)
-
-
-def _polytope_rows(inst: Instance) -> list[CellRow]:
-    G, h = inst.polytope.rows()
-    return [CellRow(g=G[k], h=float(h[k]), segment=None, option=None, side=None,
-                    strict=False) for k in range(G.shape[0])]
+    limit = beta is None or (isinstance(beta, float) and np.isinf(beta))
+    two_over = np.zeros(inst.S) if limit else 2.0 / Beta.coerce(beta).per_segment(inst.S)
+    g, r = _option_arrays(inst)
+    A = pattern.A.astype(bool)
+    a = A.sum(axis=1)[:, None]
+    g_sum, r_sum = _active_sums(A, g, r)
+    ag, ar = a[:, :, None] * g, a * r
+    # active: a V_w - sum_act V <= 2/beta; inactive: sum_act V - a V_w <= -2/beta
+    G = np.where(A[:, :, None], ag - g_sum[:, None, :], g_sum[:, None, :] - ag)
+    h = np.where(A, (two_over[:, None] + ar) - r_sum[:, None],
+                 (-two_over[:, None] + r_sum[:, None]) - ar)
+    keep = ~(A & (a == 1)).ravel()
+    G_box, h_box = inst.polytope.rows()
+    return CellSystem(
+        pattern=pattern, beta=None if limit else beta,
+        G=np.vstack([G.reshape(-1, inst.W * inst.H)[keep], G_box]),
+        h=np.concatenate([h.ravel()[keep], h_box]),
+        strict=np.concatenate([A.ravel()[keep], np.zeros(len(h_box), dtype=bool)]))
 
 
 def _check_pattern(inst: Instance, pattern: Pattern) -> None:
@@ -189,35 +176,24 @@ def cell_qp(inst: Instance, pattern: Pattern, beta: Beta | float) -> CellQP:
     """
     _check_pattern(inst, pattern)
     b = Beta.coerce(beta).per_segment(inst.S)
-    n = inst.W * inst.H
-    Q = np.zeros((n, n))
-    c = np.zeros(n)
-    d = 0.0
-    for s in range(inst.S):
-        act = pattern.active(s)
-        a = len(act)
-        contracts = [int(w) for w in act if w != 0]
-        if not contracts:
-            continue
-        g_sum = np.zeros(n)
-        d_sum = 0.0
-        for w in act:
-            g, dd = _option_affine(inst, s, int(w))
-            g_sum += g
-            d_sum += dd
-        # level line c_s(x) = (2/beta + sum_act V)/a
-        g_lvl = g_sum / a
-        d_lvl = (2.0 / b[s] + d_sum) / a
-        coef = inst.rho[s] * b[s] / 2.0
-        for w in contracts:
-            g_v, d_v = _option_affine(inst, s, w)
-            k_w = float(inst.R[s, w - 1] - inst.C[s, w - 1])
-            # (V_w + k_w)(c_s - V_w), both affine
-            u, au = g_v, d_v + k_w
-            v, av = g_lvl - g_v, d_lvl - d_v
-            Q += coef * (np.outer(u, v) + np.outer(v, u))
-            c += coef * (au * v + av * u)
-            d += coef * au * av
+    g, r = _option_arrays(inst)
+    A = pattern.A.astype(bool)
+    a = A.sum(axis=1)
+    g_sum, r_sum = _active_sums(A, g, r)
+    # level line c_s(x) = (2/beta + sum_act V)/a
+    g_lvl = g_sum / a[:, None]
+    d_lvl = (2.0 / b - r_sum) / a
+    coef = inst.rho * b / 2.0
+    # one term (V_w + k_w)(c_s - V_w) per active contract, both factors affine
+    s, w = np.nonzero(A[:, 1:])
+    u, d_v = g[s, w + 1], -r[s, w + 1]
+    au = d_v + (inst.R[s, w] - inst.C[s, w])
+    v, av = g_lvl[s] - u, d_lvl[s] - d_v
+    cf = coef[s]
+    uv = u[:, :, None] * v[:, None, :]
+    Q = _in_order(cf[:, None, None] * (uv + uv.swapaxes(1, 2)))
+    c = _in_order(cf[:, None] * (au[:, None] * v + av[:, None] * u))
+    d = float(_in_order(cf * au * av))
     return CellQP(pattern=pattern, Q=Q, c=c, d=d)
 
 
@@ -226,9 +202,11 @@ def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
     """Maximize profit over one closed cell.
 
     Returns (argmax prices, value).  Raises :class:`CellInfeasibleError` on an
-    empty cell.  Deterministic, and warm starts only change the path, not the
-    returned value.  A QP that stopped at its iteration cap is returned as
-    solved; :func:`_solve_cell` also says whether that happened.
+    empty cell.  Deterministic for a given warm start.  A warm start changes
+    the active-set path, and with it the optimum within solver tolerance
+    (one cell's value near 69 was seen to move by 2e-5).  A QP that stopped
+    at its iteration cap is returned as solved; :func:`_solve_cell` also
+    says whether that happened.
     """
     x, value, _ = _solve_cell(inst, pattern, beta, warm)
     return x, value
@@ -249,37 +227,6 @@ def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
         raise RuntimeError(f"cell solve failed with status {sol.status}")
     x = sol.z.reshape(inst.W, inst.H)
     return x, qp.d - sol.value, sol.status == "iteration_limit"
-
-
-def asymptotic_cell_system(inst: Instance, pattern: Pattern) -> CellSystem:
-    """Limit cell: active options tie at the minimum, inactive lie above.
-
-    Emitted as explicit rows (pairwise equalities against the first active
-    option, plus one inequality per inactive option); the row space matches
-    :func:`cell_system` with the 2/beta offsets removed.
-    """
-    _check_pattern(inst, pattern)
-    rows: list[CellRow] = []
-    for s in range(inst.S):
-        act = [int(w) for w in pattern.active(s)]
-        anchor = act[0]
-        g_a, d_a = _option_affine(inst, s, anchor)
-        for w in act[1:]:
-            g_w, d_w = _option_affine(inst, s, w)
-            # V_anchor = V_w as two closed rows
-            rows.append(CellRow(g=g_a - g_w, h=d_w - d_a, segment=s, option=w,
-                                side=1, strict=False))
-            rows.append(CellRow(g=g_w - g_a, h=d_a - d_w, segment=s, option=w,
-                                side=1, strict=False))
-        for w in range(inst.W + 1):
-            if pattern.A[s, w]:
-                continue
-            g_w, d_w = _option_affine(inst, s, w)
-            # V_w >= V_anchor
-            rows.append(CellRow(g=g_a - g_w, h=d_w - d_a, segment=s, option=w,
-                                side=0, strict=False))
-    rows.extend(_polytope_rows(inst))
-    return CellSystem(pattern=pattern, beta=None, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -304,20 +251,14 @@ def neighbors(inst: Instance, pattern: Pattern, beta: Beta | float,
     """
     _check_pattern(inst, pattern)
     V = inst.disutilities(x)
-    moves: list[NeighborMove] = []
-    for s in range(inst.S):
-        act = pattern.active(s)
-        inact = np.flatnonzero(pattern.A[s] == 0)
-        minus = None
-        plus = None
-        if len(act) >= 2:
-            worst = int(act[int(np.argmax(V[s, act]))])
-            minus = pattern.flip(s, worst)
-        if len(inact) >= 1:
-            best = int(inact[int(np.argmin(V[s, inact]))])
-            plus = pattern.flip(s, best)
-        moves.append(NeighborMove(segment=s, minus=minus, plus=plus))
-    return moves
+    A = pattern.A.astype(bool)
+    a = A.sum(axis=1)
+    worst = np.where(A, V, -np.inf).argmax(axis=1)
+    best = np.where(A, np.inf, V).argmin(axis=1)
+    return [NeighborMove(segment=s,
+                         minus=pattern.flip(s, int(worst[s])) if a[s] >= 2 else None,
+                         plus=pattern.flip(s, int(best[s])) if a[s] <= inst.W else None)
+            for s in range(inst.S)]
 
 # ---------------------------------------------------------------------------
 # Exhaustive desk-scale oracles.  These walk every support pattern (or every
@@ -390,19 +331,12 @@ def pure_assignment_lp(inst: Instance, combo: tuple[int, ...],
     option attains its segment's minimum disutility.  Returns (value, x) or
     None when that region is empty.
     """
-    n = inst.W * inst.H
-    A = np.zeros((inst.S, inst.W + 1), dtype=np.int8)
-    for s, w in enumerate(combo):
-        A[s, w] = 1
-    system = asymptotic_cell_system(inst, Pattern(A))
-    G, h = system.matrices()
-    c = np.zeros(n)
-    const = 0.0
-    for s, w in enumerate(combo):
-        if w == 0:
-            continue
-        c[(w - 1) * inst.H: w * inst.H] += inst.rho[s] * inst.E[s, w - 1]
-        const -= inst.rho[s] * inst.C[s, w - 1]
+    seg, opt = np.arange(inst.S), np.asarray(combo)
+    G, h = cell_system(inst, Pattern(np.eye(inst.W + 1, dtype=np.int8)[opt]), None).matrices()
+    g, _ = _option_arrays(inst)
+    cost = np.concatenate([np.zeros((inst.S, 1)), inst.C], axis=1)[seg, opt]
+    c = _in_order(inst.rho[:, None] * g[seg, opt])
+    const = float(_in_order(-(inst.rho * cost)))
     sol = solve_qp(QpProblem(Q=None, c=-c, G=G, h=h),
                    warm_start=None if warm is None else np.asarray(warm, dtype=float).ravel())
     if sol.status == "infeasible":

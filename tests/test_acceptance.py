@@ -15,7 +15,6 @@ from tariff_complex import (
     QpProblem,
     QspcOptions,
     SolverOptions,
-    asymptotic_cell_system,
     beta_sweep,
     cell_qp,
     cell_system,
@@ -183,7 +182,7 @@ def test_criterion_08_large_beta_patterns_stabilize():
                              S=2, W=int(np.random.default_rng(trial).integers(1, 3)),
                              H=1)
         res = det_oracle(inst)
-        x = interior_point(asymptotic_cell_system(inst, res.pattern))
+        x = interior_point(cell_system(inst, res.pattern, None))
         if x is None:
             continue
         x = x.reshape(inst.W, inst.H)

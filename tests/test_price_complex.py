@@ -1,20 +1,24 @@
 """Cell geometry of the regularized response and the enumeration oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from tariff_complex import (
+    Beta,
     CellInfeasibleError,
+    GeneratorConfig,
     Pattern,
-    asymptotic_cell_system,
+    QpProblem,
     cell_qp,
     cell_system,
     count_patterns,
     det_oracle,
     det_response_set,
     enumerate_patterns,
+    generate,
     is_feasible,
     neighbors,
     pattern_of,
@@ -23,6 +27,7 @@ from tariff_complex import (
     quad_profit,
     quad_response,
     solve_cell,
+    solve_qp,
 )
 from tariff_complex import price_complex
 from tariff_complex.cli import _oracle_report
@@ -176,7 +181,7 @@ def test_det_assignment_lies_in_its_limit_cell():
         x = rng.uniform(0.0, 4.0, size=(2, 1))
         _, resp = det_response_set(inst, x)
         pat = resp.support()
-        assert asymptotic_cell_system(inst, pat).contains(x, tol=1e-8)
+        assert cell_system(inst, pat, None).contains(x, tol=1e-8)
 
 
 def test_pattern_of_stabilizes_for_large_beta():
@@ -186,7 +191,7 @@ def test_pattern_of_stabilizes_for_large_beta():
     for trial in range(20):
         inst = make_instance(np.random.default_rng(300 + trial), S=2, W=1, H=1)
         res = det_oracle(inst)
-        x = interior_point(asymptotic_cell_system(inst, res.pattern))
+        x = interior_point(cell_system(inst, res.pattern, None))
         if x is None:
             continue
         x = x.reshape(inst.W, inst.H)
@@ -202,6 +207,19 @@ def test_pattern_of_stabilizes_for_large_beta():
         if done == 5:
             break
     assert done == 5
+
+
+def test_limit_cell_of_pure_optimum_has_strict_interior():
+    # a lone active option adds no row, so the limit cell of a pure pattern
+    # keeps its interior instead of carrying an open row 0 < 0
+    inst = make_instance(np.random.default_rng(300), S=2, W=1, H=1)
+    res = det_oracle(inst)
+    assert res.pattern.is_pure()
+    system = cell_system(inst, res.pattern, None)
+    assert not np.any(np.all(system.matrices()[0] == 0.0, axis=1))
+    x = interior_point(system)
+    assert x is not None
+    assert system.strictly_classifies(x)
 
 
 def test_neighbors_drop_worst_add_best():
@@ -281,3 +299,177 @@ def test_quad_oracle_counts_iteration_capped_cells(monkeypatch):
     # the local search still takes a capped cell as solved
     _, value = solve_cell(inst, exact.pattern, beta)
     assert value == exact.value
+
+
+# ---------------------------------------------------------------------------
+# The per-row loops the cell arrays replaced, kept as the reference.
+
+
+def _loop_option(inst, s, w):
+    """Reference: disutility of option w as (gradient over vec(x), constant)."""
+    g = np.zeros(inst.W * inst.H)
+    if w == 0:
+        return g, 0.0
+    g[(w - 1) * inst.H: w * inst.H] = inst.E[s, w - 1]
+    return g, -float(inst.R[s, w - 1])
+
+
+def _loop_cell_rows(inst, pattern, beta):
+    """Reference: the row-by-row cell system.  Returns G, h, strict."""
+    if beta is None or (isinstance(beta, float) and np.isinf(beta)):
+        two_over = np.zeros(inst.S)
+    else:
+        two_over = 2.0 / Beta.coerce(beta).per_segment(inst.S)
+    gs, hs, strict = [], [], []
+    for s in range(inst.S):
+        act = pattern.active(s)
+        a = len(act)
+        g_sum = np.zeros(inst.W * inst.H)
+        r_sum = 0.0
+        for w in act:
+            g, d = _loop_option(inst, s, int(w))
+            g_sum += g
+            r_sum += -d
+        for w in range(inst.W + 1):
+            g, d = _loop_option(inst, s, w)
+            if pattern.A[s, w]:
+                gs.append(a * g - g_sum)
+                hs.append(two_over[s] + a * -d - r_sum)
+            else:
+                gs.append(g_sum - a * g)
+                hs.append(-two_over[s] + r_sum - a * -d)
+            strict.append(bool(pattern.A[s, w]))
+    G_box, h_box = inst.polytope.rows()
+    gs += list(G_box)
+    hs += [float(v) for v in h_box]
+    strict += [False] * len(h_box)
+    return np.array(gs), np.array(hs), np.array(strict)
+
+
+def _loop_limit_rows(inst, pattern):
+    """Reference: the limit cell as pairwise ties against the first active
+    option plus one row per inactive option.  Returns G, h."""
+    gs, hs = [], []
+    for s in range(inst.S):
+        act = [int(w) for w in pattern.active(s)]
+        g_a, d_a = _loop_option(inst, s, act[0])
+        for w in act[1:]:
+            g_w, d_w = _loop_option(inst, s, w)
+            gs += [g_a - g_w, g_w - g_a]
+            hs += [d_w - d_a, d_a - d_w]
+        for w in range(inst.W + 1):
+            if not pattern.A[s, w]:
+                g_w, d_w = _loop_option(inst, s, w)
+                gs.append(g_a - g_w)
+                hs.append(d_w - d_a)
+    G_box, h_box = inst.polytope.rows()
+    return np.array(gs + list(G_box)), np.array(hs + [float(v) for v in h_box])
+
+
+def _loop_cell_qp(inst, pattern, beta):
+    """Reference: the term-by-term expansion of the cell profit.  Returns Q, c, d."""
+    b = Beta.coerce(beta).per_segment(inst.S)
+    n = inst.W * inst.H
+    Q, c, d = np.zeros((n, n)), np.zeros(n), 0.0
+    for s in range(inst.S):
+        act = pattern.active(s)
+        a = len(act)
+        contracts = [int(w) for w in act if w != 0]
+        if not contracts:
+            continue
+        g_sum, d_sum = np.zeros(n), 0.0
+        for w in act:
+            g, dd = _loop_option(inst, s, int(w))
+            g_sum += g
+            d_sum += dd
+        g_lvl = g_sum / a
+        d_lvl = (2.0 / b[s] + d_sum) / a
+        coef = inst.rho[s] * b[s] / 2.0
+        for w in contracts:
+            g_v, d_v = _loop_option(inst, s, w)
+            u, au = g_v, d_v + float(inst.R[s, w - 1] - inst.C[s, w - 1])
+            v, av = g_lvl - g_v, d_lvl - d_v
+            Q += coef * (np.outer(u, v) + np.outer(v, u))
+            c += coef * (au * v + av * u)
+            d += coef * au * av
+    return Q, c, d
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _random_patterns(rng, S, W, k):
+    """k random patterns plus the all-pure and all-active extremes."""
+    pats = [Pattern(np.eye(W + 1, dtype=np.int8)[rng.integers(0, W + 1, size=S)]),
+            Pattern(np.ones((S, W + 1), dtype=np.int8))]
+    for _ in range(k):
+        A = rng.integers(0, 2, size=(S, W + 1))
+        A[np.arange(S), rng.integers(0, W + 1, size=S)] = 1
+        pats.append(Pattern(A))
+    return pats
+
+
+def _reference_instances():
+    for S, W in ((3, 2), (5, 2), (8, 3), (10, 4)):
+        for g in (0, 1, 18):
+            yield generate(GeneratorConfig(S=S, n_company_contracts=W, seed=g))
+    # nine or more summands: where numpy's own sum would pair terms up
+    yield make_instance(np.random.default_rng(9), S=9, W=9, H=1)
+    yield make_instance(np.random.default_rng(12), S=12, W=1, H=1)
+
+
+def test_cell_arrays_match_loop_reference():
+    # qspc's path is sensitive at roundoff level, so every float must match,
+    # sign of zero included; the loop's exact-zero rows (a lone active
+    # option's 0 <= 2/beta) are the only rows the arrays leave out
+    rng = np.random.default_rng(7)
+    for inst in _reference_instances():
+        scales = Beta(0.05, scales=rng.uniform(0.2, 5.0, size=inst.S))
+        for pat in _random_patterns(rng, inst.S, inst.W, 8):
+            for beta in (0.05, 1.7, scales, None, math.inf):
+                G, h, strict = _loop_cell_rows(inst, pat, beta)
+                keep = ~np.all(G == 0.0, axis=1)
+                system = cell_system(inst, pat, beta)
+                assert _same_bytes(system.G, G[keep])
+                assert _same_bytes(system.h, h[keep])
+                assert _same_bytes(system.strict, strict[keep])
+            for beta in (0.05, 1.7, scales):
+                Q, c, d = _loop_cell_qp(inst, pat, beta)
+                qp = cell_qp(inst, pat, beta)
+                assert _same_bytes(qp.Q, Q) and _same_bytes(qp.c, c)
+                assert type(qp.d) is float and _same_bytes(qp.d, d)
+
+
+def _loop_pure_lp(inst, combo):
+    """Reference: the pure-assignment LP over the loop's limit rows."""
+    pat = Pattern(np.eye(inst.W + 1, dtype=np.int8)[list(combo)])
+    G, h = _loop_limit_rows(inst, pat)
+    c, const = np.zeros(inst.W * inst.H), 0.0
+    for s, w in enumerate(combo):
+        if w == 0:
+            continue
+        c[(w - 1) * inst.H: w * inst.H] += inst.rho[s] * inst.E[s, w - 1]
+        const -= inst.rho[s] * inst.C[s, w - 1]
+    sol = solve_qp(QpProblem(Q=None, c=-c, G=G, h=h))
+    if sol.status == "infeasible":
+        return None
+    return -sol.value + const, sol.z.reshape(inst.W, inst.H)
+
+
+def test_limit_rows_of_pure_patterns_match_loop_reference():
+    # a pure pattern's limit cell has no tie rows, so the one builder must
+    # give the loop's limit rows exactly, and the same LP answer
+    rng = np.random.default_rng(11)
+    for inst in _reference_instances():
+        for _ in range(4):
+            combo = tuple(int(w) for w in rng.integers(0, inst.W + 1, size=inst.S))
+            pat = Pattern(np.eye(inst.W + 1, dtype=np.int8)[list(combo)])
+            G, h = _loop_limit_rows(inst, pat)
+            system = cell_system(inst, pat, None)
+            assert _same_bytes(system.G, G) and _same_bytes(system.h, h)
+            got, want = pure_assignment_lp(inst, combo), _loop_pure_lp(inst, combo)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0] and _same_bytes(got[1], want[1])
