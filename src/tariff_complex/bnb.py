@@ -23,8 +23,9 @@ the most fractional binary (ties lexicographic by (segment, option)).  Every
 incumbent is rebuilt from an exact response evaluation, so reported
 objectives never inherit relaxation slack.  A node QP that stops at the
 iteration cap bounds nothing, so its node keeps the parent's bound and is
-branched; ``extras["iteration_limit_nodes"]`` counts such nodes.  A tree
-exhausted without an incumbent reports ``infeasible`` (bound ``-inf``).
+branched; ``extras["iteration_limit_nodes"]`` counts such nodes, and
+``extras["tree"]`` holds a (parent bound, node bound) pair per solved node.
+A tree exhausted without an incumbent reports ``infeasible`` (bound ``-inf``).
 """
 
 from __future__ import annotations
@@ -85,16 +86,14 @@ class SolverOptions:
     """Branch-and-bound budgets.
 
     ``gap`` defaults per model (1e-6 deterministic, 3e-2 regularized).
-    ``node_limit`` exhaustion reports like a time limit.  ``collect_tree``
-    stores (parent bound, node bound) pairs for diagnostics.  Progress goes
-    to the ``tariff_complex.bnb`` logger: one line per node at DEBUG, the
+    ``node_limit`` exhaustion reports like a time limit.  Progress goes to
+    the ``tariff_complex.bnb`` logger: one line per node at DEBUG, the
     summary at INFO.
     """
 
     gap: float | None = None
     time_limit_s: float = 3600.0
     node_limit: int | None = None
-    collect_tree: bool = False
 
 
 @dataclass
@@ -276,16 +275,17 @@ def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
 
 
 def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = None,
-               fixed_z: np.ndarray | dict | None = None,
+               fixed_z: np.ndarray | None = None,
                bigm: BigM | None = None,
                warm_incumbent: tuple[np.ndarray, float] | None = None) -> SolveReport:
     """Regularized-model optimum by QP-based branch and bound on the
     activation indicators.
 
-    ``fixed_z`` pins chosen indicators: 0 forces the option out of the
-    support, 1 pins its stationarity row (the option may still carry zero
-    mass on the cell boundary).  ``warm_incumbent`` seeds pruning with a
-    known feasible price vector, which must respect ``fixed_z``.
+    ``fixed_z`` is an (S, W+1) array that pins chosen indicators: -1 leaves
+    one free, 0 forces the option out of the support, 1 pins its
+    stationarity row (the option may still carry zero mass on the cell
+    boundary).  ``warm_incumbent`` seeds pruning with a known feasible
+    price vector, which must respect ``fixed_z``.
     """
     opts = opts or SolverOptions()
     gap_target = DEFAULT_GAP_QUAD if opts.gap is None else opts.gap
@@ -293,22 +293,19 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
     S, W = inst.S, inst.W
     bet = Beta.coerce(beta)
     bs = bet.per_segment(S)
-    n_bin = S * (W + 1)
     prog = _bigm_program(inst, bigm or bigm_quad(inst, bet), bs)
     fix_lo, fix_hi = _parse_fixed(fixed_z, S, W)
+    pinned_in = fix_lo.reshape(S, W + 1) == 1
+    pinned_out = fix_hi.reshape(S, W + 1) == 0
 
     def offer(x, incumbent):
         resp, details = quad_response(inst, x, bet)
         # the exact response must respect pinned indicators
-        V = inst.disutilities(x)
-        for k in range(n_bin):
-            s, w = divmod(k, W + 1)
-            if fix_lo[k] == 1:
-                res = V[s, w] + (2.0 / bs[s]) * resp.ybar[s, w] - details[s].mu
-                if abs(res) > 1e-9:
-                    return False
-            if fix_hi[k] == 0 and resp.ybar[s, w] > 1e-9:
-                return False
+        mu = np.array([d.mu for d in details])
+        res = inst.disutilities(x) + (2.0 / bs)[:, None] * resp.ybar - mu[:, None]
+        if np.any(pinned_in & (np.abs(res) > 1e-9)) or \
+                np.any(pinned_out & (resp.ybar > 1e-9)):
+            return False
         val = _profit(inst, x, resp)
         return incumbent.offer(val, x, resp, resp.support())
 
@@ -329,30 +326,16 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
 
 
 def _parse_fixed(fixed_z, S, W):
-    n_bin = S * (W + 1)
-    lo = np.zeros(n_bin, dtype=np.int8)
-    hi = np.ones(n_bin, dtype=np.int8)
+    """Per-binary bounds (lo, hi) from an (S, W+1) array of -1 (free), 0, 1."""
     if fixed_z is None:
-        return lo, hi
-    if isinstance(fixed_z, dict):
-        for (s, w), v in fixed_z.items():
-            if not (0 <= s < S and 0 <= w <= W):
-                raise ValueError(f"fixed_z key {(s, w)} outside the {S} x {W + 1} grid")
-            if v not in (0, 1):
-                raise ValueError(f"fixed_z[{(s, w)}] must be 0 or 1, got {v}")
-            k = s * (W + 1) + w
-            lo[k] = hi[k] = int(v)
-        return lo, hi
-    arr = np.asarray(fixed_z)
-    if arr.shape != (S, W + 1):
-        raise ValueError(f"fixed_z has shape {arr.shape}, expected {(S, W + 1)}")
-    flat = arr.ravel()
-    for k, v in enumerate(flat):
-        if v in (0, 1):
-            lo[k] = hi[k] = int(v)
-        elif v != -1:
-            raise ValueError("fixed_z entries must be -1 (free), 0 or 1")
-    return lo, hi
+        return np.zeros(S * (W + 1), dtype=np.int8), np.ones(S * (W + 1), dtype=np.int8)
+    z = np.asarray(fixed_z)
+    if z.shape != (S, W + 1):
+        raise ValueError(f"fixed_z has shape {z.shape}, expected {(S, W + 1)}")
+    if not np.isin(z, (-1, 0, 1)).all():
+        raise ValueError("fixed_z entries must be -1 (free), 0 or 1")
+    z = z.ravel()
+    return (z == 1).astype(np.int8), (z != 0).astype(np.int8)
 
 
 def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix_hi,
@@ -372,7 +355,7 @@ def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix
     seq = 1
     node_count = 0
     trace: list[dict] = []
-    tree_pairs: list[tuple[float, float]] = []
+    tree_pairs: list[tuple[float, float]] = []  # (parent bound, node bound)
     status = "optimal"
     final_bound = None
     capped_nodes = 0
@@ -414,8 +397,7 @@ def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix
             bound = node.parent_bound
         else:
             bound = min(-sol.value, node.parent_bound)  # relaxations are minimizations
-        if opts.collect_tree:
-            tree_pairs.append((node.parent_bound, bound))
+        tree_pairs.append((node.parent_bound, bound))
         if np.isfinite(incumbent.value) and bound <= incumbent.value + 1e-9 * scale:
             continue
 
@@ -466,10 +448,8 @@ def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix
         node_count=node_count,
         wall_time_s=time.perf_counter() - t0,
         trace=trace,
-        extras={"iteration_limit_nodes": capped_nodes},
+        extras={"iteration_limit_nodes": capped_nodes, "tree": tree_pairs},
     )
-    if opts.collect_tree:
-        report.extras["tree"] = tree_pairs
     log.info("done status=%s objective=%.9g bound=%.9g nodes=%d",
              status, report.objective, report.bound, node_count)
     return report

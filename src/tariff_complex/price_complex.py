@@ -229,25 +229,16 @@ def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
     return x, qp.d - sol.value, sol.status == "iteration_limit"
 
 
-@dataclass(frozen=True)
-class NeighborMove:
-    """Single-flip candidates for one segment: drop the worst active option
-    and/or add the best inactive one, ranked by disutility at the current
-    prices."""
+def neighbors(inst: Instance, pattern: Pattern,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-flip neighborhood of ``pattern`` around prices x.
 
-    segment: int
-    minus: Pattern | None
-    plus: Pattern | None
-
-
-def neighbors(inst: Instance, pattern: Pattern, beta: Beta | float,
-              x: np.ndarray) -> list[NeighborMove]:
-    """Per-segment one-flip neighborhood of ``pattern`` around prices x.
-
-    For each segment: the active option with the largest disutility can be
-    deactivated (unless it is the only one), the inactive option with the
-    smallest disutility can be activated (unless all are active).  Disutility
-    ties resolve to the lowest option index.
+    Returns index arrays ``(seg, opt)``: flip k toggles option ``opt[k]`` of
+    segment ``seg[k]``.  Segments come in order, each with at most two flips:
+    first the active option with the largest disutility is dropped (unless
+    it is the only one), then the inactive option with the smallest
+    disutility is added (unless all are active).  Disutility ties resolve to
+    the lowest option index.
     """
     _check_pattern(inst, pattern)
     V = inst.disutilities(x)
@@ -255,10 +246,8 @@ def neighbors(inst: Instance, pattern: Pattern, beta: Beta | float,
     a = A.sum(axis=1)
     worst = np.where(A, V, -np.inf).argmax(axis=1)
     best = np.where(A, np.inf, V).argmin(axis=1)
-    return [NeighborMove(segment=s,
-                         minus=pattern.flip(s, int(worst[s])) if a[s] >= 2 else None,
-                         plus=pattern.flip(s, int(best[s])) if a[s] <= inst.W else None)
-            for s in range(inst.S)]
+    seg, k = np.nonzero(np.column_stack([a >= 2, a <= inst.W]))  # k: 0 drop, 1 add
+    return seg, np.column_stack([worst, best])[seg, k]
 
 # ---------------------------------------------------------------------------
 # Exhaustive desk-scale oracles.  These walk every support pattern (or every

@@ -377,21 +377,21 @@ def _phase_one(G, h, u0, max_iter):
     return x[:n], "ok"
 
 
-def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
-             max_iter: int | None = None) -> QpSolution:
+def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
     """Solve a convex QP/LP.  Deterministic; see module docstring.
 
     ``warm_start`` is projected onto the equality manifold and used when
     feasible, otherwise it seeds the phase-1 search.  Unbounded problems are
-    reported with a certifying ray, never silently clamped.  Hitting the
-    iteration cap triggers one ridge-regularized retry (Q + 1e-12 I, flagged)
-    when Q is nonzero.
+    reported with a certifying ray, never silently clamped.  The iteration
+    cap is ``50 (n + m) + 50`` for n free variables after the equalities are
+    eliminated and m non-constant rows.  Hitting it triggers one
+    ridge-regularized retry (Q + 1e-12 I, flagged) when Q is nonzero.
     """
     _check_psd(prob.Q)
-    return _solve_qp_inner(prob, warm_start, max_iter, ridge=False)
+    return _solve_qp_inner(prob, warm_start, ridge=False)
 
 
-def _solve_qp_inner(prob, warm_start, max_iter, ridge):
+def _solve_qp_inner(prob, warm_start, ridge):
     n = prob.n
     Q = prob.Q
     if ridge:
@@ -431,7 +431,7 @@ def _solve_qp_inner(prob, warm_start, max_iter, ridge):
 
     Qu = N.T @ Q @ N
     cu = N.T @ (prob.c + Q @ z0)
-    cap = max_iter if max_iter is not None else 50 * (nu + Gn.shape[0]) + 50
+    cap = 50 * (nu + Gn.shape[0]) + 50
 
     if nu == 0:
         z = z0
@@ -466,7 +466,7 @@ def _solve_qp_inner(prob, warm_start, max_iter, ridge):
     z = z0 + N @ u
 
     if status == "iteration_limit" and not ridge and np.any(prob.Q):
-        sol = _solve_qp_inner(prob, z, max_iter, ridge=True)
+        sol = _solve_qp_inner(prob, z, ridge=True)
         sol.ridge_applied = True
         sol.n_iterations += iters
         return sol
@@ -485,7 +485,7 @@ def _solve_qp_inner(prob, warm_start, max_iter, ridge):
     _attach_kkt(sol, prob, lam_full)
     if (sol.status == "optimal" and not ridge and np.any(prob.Q)
             and sol.kkt_residual > 1e-7):
-        retry = _solve_qp_inner(prob, z, max_iter, ridge=True)
+        retry = _solve_qp_inner(prob, z, ridge=True)
         retry.ridge_applied = True
         retry.n_iterations += iters
         if retry.status == "optimal" and retry.kkt_residual < sol.kkt_residual:

@@ -145,24 +145,31 @@ def test_fixed_indicators_reduce_to_cell_solve():
     assert rep.objective == pytest.approx(cell_val, abs=1e-7)
     # partial fix consistent with the optimum keeps the optimum reachable
     s0, w0 = 0, int(np.argmax(res.pattern.A[0]))
-    rep2 = solve_quad(inst, beta, SolverOptions(gap=1e-6),
-                      fixed_z={(s0, w0): int(res.pattern.A[0, w0])})
+    fz = np.full((2, 3), -1, dtype=np.int8)
+    fz[s0, w0] = res.pattern.A[0, w0]
+    rep2 = solve_quad(inst, beta, SolverOptions(gap=1e-6), fixed_z=fz)
     assert rep2.objective == pytest.approx(res.value, abs=1e-6)
 
 
 def test_fixed_indicator_validation():
     rng = np.random.default_rng(109)
     inst = make_instance(rng, S=2, W=1, H=1)
-    with pytest.raises(ValueError):
-        solve_quad(inst, 1.0, fixed_z={(5, 0): 1})
-    with pytest.raises(ValueError):
+    bad = np.full((2, 2), -1)
+    bad[1, 0] = 2
+    with pytest.raises(ValueError, match="entries"):
+        solve_quad(inst, 1.0, fixed_z=bad)
+    with pytest.raises(ValueError, match="shape"):
         solve_quad(inst, 1.0, fixed_z=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        solve_quad(inst, 1.0, fixed_z={(0, 0): 1})  # the array is the only format
 
 
 def test_exhausted_tree_without_incumbent_is_infeasible():
     # every option of segment 0 is switched off, so no node has a feasible point
     inst = generate(GeneratorConfig(S=3, n_company_contracts=2, seed=0))
-    rep = solve_quad(inst, 0.05, fixed_z={(0, w): 0 for w in range(3)})
+    fz = np.full((3, 3), -1, dtype=np.int8)
+    fz[0] = 0
+    rep = solve_quad(inst, 0.05, fixed_z=fz)
     assert rep.status == "infeasible"
     assert not rep.has_incumbent()
     assert rep.objective == rep.bound == -np.inf
@@ -190,7 +197,7 @@ def test_budget_statuses_and_gap_semantics():
 def test_tree_bounds_are_monotone():
     rng = np.random.default_rng(127)
     inst = make_instance(rng, S=3, W=2, H=1)
-    rep = solve_det(inst, SolverOptions(collect_tree=True))
+    rep = solve_det(inst)
     pairs = rep.extras["tree"]
     assert pairs, "expected at least the root node"
     for parent, child in pairs:
@@ -249,7 +256,7 @@ def test_iteration_capped_node_keeps_parent_bound(monkeypatch):
     # uncapped, node 2's relaxation value lies below the incumbent, so it is
     # pruned; capped, its point bounds nothing and the node must stay open
     inst = make_instance(np.random.default_rng(113), S=3, W=2, H=2)
-    opts = SolverOptions(gap=1e-6, collect_tree=True)
+    opts = SolverOptions(gap=1e-6)
     ref = solve_quad(inst, 1.0, opts)
     root_bound = ref.extras["tree"][0][1]
     assert ref.extras["tree"][1][1] < ref.trace[0]["incumbent"]

@@ -228,31 +228,31 @@ def test_neighbors_drop_worst_add_best():
     x = inst.polytope.midpoint()
     V = inst.disutilities(x)
     pat = Pattern(np.array([[1, 1, 0], [0, 1, 0]]))
-    moves = neighbors(inst, pat, 1.0, x)
-    assert [m.segment for m in moves] == [0, 1]
+    seg, opt = neighbors(inst, pat, x)
+    # segment 0 drops then adds; segment 1 is a singleton row and cannot drop
+    assert seg.tolist() == [0, 0, 1]
 
-    m0 = moves[0]
     worst = int(np.argmax(V[0, [0, 1]]))  # among active options 0, 1
-    assert m0.minus is not None
-    assert m0.minus.A[0, worst] == 0
-    assert m0.plus is not None and m0.plus.A[0, 2] == 1  # only inactive option
+    assert opt[0] == worst and pat.A[0, worst] == 1
+    assert pat.flip(0, opt[0]).A[0, worst] == 0
+    assert opt[1] == 2 and pat.flip(0, opt[1]).A[0, 2] == 1  # only inactive option
 
-    m1 = moves[1]
-    assert m1.minus is None  # singleton row cannot drop
     best = int(np.array([0, 2])[np.argmin(V[1, [0, 2]])])
-    assert m1.plus.A[1, best] == 1
-    assert m1.plus.A[1, 1] == 1  # old option stays
+    assert opt[2] == best
+    plus = pat.flip(1, opt[2])
+    assert plus.A[1, best] == 1
+    assert plus.A[1, 1] == 1  # old option stays
 
 
 def test_neighbors_tie_break_lowest_index():
     inst = tie_instance()
     x = np.array([[3.0]])
     pat = Pattern(np.ones((5, 2), dtype=np.int8))
-    moves = neighbors(inst, pat, 1.0, x)
+    seg, opt = neighbors(inst, pat, x)
     V = inst.disutilities(x)
-    for s, mv in enumerate(moves):
-        assert mv.plus is None
-        dropped = int(np.flatnonzero(mv.minus.A[s] != pat.A[s])[0])
+    assert seg.tolist() == list(range(5))  # one drop per segment, no add
+    for s, w in zip(seg.tolist(), opt.tolist()):
+        dropped = int(np.flatnonzero(pat.flip(s, w).A[s] != pat.A[s])[0])
         assert dropped == int(np.argmax(V[s]))  # first index on exact ties
 
 
@@ -473,3 +473,55 @@ def test_limit_rows_of_pure_patterns_match_loop_reference():
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0] == want[0] and _same_bytes(got[1], want[1])
+
+
+def _loop_neighbors(inst, pattern, x):
+    """Reference: the per-segment minus/plus loop the flip arrays replaced.
+    Returns the neighbor patterns in scan order."""
+    V = inst.disutilities(x)
+    out = []
+    for s in range(inst.S):
+        act = np.flatnonzero(pattern.A[s] == 1)
+        off = np.flatnonzero(pattern.A[s] == 0)
+        if act.size >= 2:  # minus: drop the worst active option
+            out.append(pattern.flip(s, int(act[np.argmax(V[s, act])])))
+        if off.size:  # plus: add the best inactive option
+            out.append(pattern.flip(s, int(off[np.argmin(V[s, off])])))
+    return out
+
+
+def _tie_cases(rng):
+    """Instances and prices with exact disutility ties."""
+    # contract 3 copies contract 1 and is priced like it, so the two tie
+    inst = make_instance(np.random.default_rng(21), S=6, W=3, H=2)
+    E, R = inst.E.copy(), inst.R.copy()
+    E[:, 2], R[:, 2] = E[:, 0], R[:, 0]
+    inst = dataclasses.replace(inst, E=E, R=R)
+    for _ in range(3):
+        x = rng.uniform(inst.polytope.lower, inst.polytope.upper)
+        x[2] = x[0]
+        yield inst, x
+    # the contract ties the walk-away option where the bill meets the reservation
+    for t in (1.0, 3.0, 5.0):
+        yield tie_instance(), np.array([[t]])
+
+
+def test_flip_arrays_match_loop_reference():
+    # the (seg, opt) flips, applied one by one, give the reference's patterns
+    # in its order, on singleton rows, full rows and exact ties alike
+    rng = np.random.default_rng(13)
+    cases = [(inst, x) for inst in _reference_instances()
+             for x in (inst.polytope.midpoint(),
+                       rng.uniform(inst.polytope.lower, inst.polytope.upper))]
+    cases += list(_tie_cases(rng))
+    n_tied = 0
+    for inst, x in cases:
+        V = inst.disutilities(x)
+        for pat in _random_patterns(rng, inst.S, inst.W, 6):
+            seg, opt = neighbors(inst, pat, x)
+            assert seg.dtype.kind == opt.dtype.kind == "i"
+            flips = list(zip(seg.tolist(), opt.tolist()))
+            assert [pat.flip(s, w) for s, w in flips] == _loop_neighbors(inst, pat, x)
+            n_tied += sum(int(np.sum((V[s] == V[s, w]) & (pat.A[s] == pat.A[s, w]))) > 1
+                          for s, w in flips)
+    assert n_tied > 0  # the tie rule was exercised

@@ -138,11 +138,12 @@ def test_restricted_miqp_mode_dominates_single_flips(tiny_set, tiny_beta_list):
     x0 = inst.polytope.midpoint()
     A = pattern_of(inst, x0, beta)
     x_A, phi_A = solve_cell(inst, A, beta, warm=x0)
-    opts = QspcOptions(restart_gap=1e-9)
-    _, _, phi_qp = explore_good_neighbors(inst, beta, A, x_A, phi_A,
-                                          mode="per_pattern_qp", opts=opts)
-    _, _, phi_mi = explore_good_neighbors(inst, beta, A, x_A, phi_A,
-                                          mode="restricted_miqp", opts=opts)
+    _, _, phi_qp = explore_good_neighbors(
+        inst, beta, A, x_A, phi_A,
+        opts=QspcOptions(restart_gap=1e-9, neighbor_mode="per_pattern_qp"))
+    _, _, phi_mi = explore_good_neighbors(
+        inst, beta, A, x_A, phi_A,
+        opts=QspcOptions(restart_gap=1e-9, neighbor_mode="restricted_miqp"))
     assert phi_mi >= phi_qp - 1e-7  # joint flips include every single flip
 
 
