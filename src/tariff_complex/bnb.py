@@ -299,11 +299,13 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
     pinned_out = fix_hi.reshape(S, W + 1) == 0
 
     def offer(x, incumbent):
-        resp, details = quad_response(inst, x, bet)
-        # the exact response must respect pinned indicators
-        mu = np.array([d.mu for d in details])
-        res = inst.disutilities(x) + (2.0 / bs)[:, None] * resp.ybar - mu[:, None]
-        if np.any(pinned_in & (np.abs(res) > 1e-9)) or \
+        resp, detail = quad_response(inst, x, bet)
+        # the exact response must respect pinned indicators; stationarity
+        # holds to roundoff relative to the segment's disutilities
+        V = inst.disutilities(x)
+        res = V + (2.0 / bs)[:, None] * resp.ybar - detail.mu[:, None]
+        tol = 1e-9 * np.maximum(1.0, np.abs(V).max(axis=1, keepdims=True))
+        if np.any(pinned_in & (np.abs(res) > tol)) or \
                 np.any(pinned_out & (resp.ybar > 1e-9)):
             return False
         val = _profit(inst, x, resp)

@@ -48,9 +48,6 @@ class CellSystem:
     h: np.ndarray
     strict: np.ndarray
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.G, self.h
-
     def contains(self, x: np.ndarray, tol: float = EPS_FEAS) -> bool:
         v = np.asarray(x, dtype=float).ravel()
         return bool(np.all(self.G @ v <= self.h + tol))
@@ -138,8 +135,7 @@ def pattern_of(inst: Instance, x: np.ndarray, beta: Beta | float,
 def is_feasible(inst: Instance, pattern: Pattern, beta) -> tuple[bool, np.ndarray | None]:
     """Whether the closed cell is non-empty; returns an LP witness if so."""
     system = cell_system(inst, pattern, beta)
-    G, h = system.matrices()
-    ok, z = find_feasible_point(G, h)
+    ok, z = find_feasible_point(system.G, system.h)
     if not ok:
         return False, None
     return True, z.reshape(inst.W, inst.H)
@@ -217,8 +213,7 @@ def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
     """:func:`solve_cell` plus whether the cell QP stopped at its iteration cap."""
     qp = cell_qp(inst, pattern, beta)
     system = cell_system(inst, pattern, beta)
-    G, h = system.matrices()
-    prob = QpProblem(Q=-qp.Q, c=-qp.c, G=G, h=h)
+    prob = QpProblem(Q=-qp.Q, c=-qp.c, G=system.G, h=system.h)
     w0 = None if warm is None else np.asarray(warm, dtype=float).ravel()
     sol = solve_qp(prob, warm_start=w0)
     if sol.status == "infeasible":
@@ -321,12 +316,12 @@ def pure_assignment_lp(inst: Instance, combo: tuple[int, ...],
     None when that region is empty.
     """
     seg, opt = np.arange(inst.S), np.asarray(combo)
-    G, h = cell_system(inst, Pattern(np.eye(inst.W + 1, dtype=np.int8)[opt]), None).matrices()
+    system = cell_system(inst, Pattern(np.eye(inst.W + 1, dtype=np.int8)[opt]), None)
     g, _ = _option_arrays(inst)
     cost = np.concatenate([np.zeros((inst.S, 1)), inst.C], axis=1)[seg, opt]
     c = _in_order(inst.rho[:, None] * g[seg, opt])
     const = float(_in_order(-(inst.rho * cost)))
-    sol = solve_qp(QpProblem(Q=None, c=-c, G=G, h=h),
+    sol = solve_qp(QpProblem(Q=None, c=-c, G=system.G, h=system.h),
                    warm_start=None if warm is None else np.asarray(warm, dtype=float).ravel())
     if sol.status == "infeasible":
         return None

@@ -14,8 +14,9 @@ vector V (V[0] = 0):
 The regularization strength ``beta`` may carry optional per-segment scale
 factors, giving segment s an effective strength ``scales[s] * beta``.
 
-Each rule runs once over the whole (S, W+1) disutility matrix; the one-row
-functions ``quad_response_row`` and ``logit_row`` call the same kernels.
+Each rule runs once over the whole (S, W+1) disutility matrix and returns
+arrays with one row per segment; the one-row functions ``quad_response_row``
+and ``logit_row`` call the same kernels.
 """
 
 from __future__ import annotations
@@ -60,29 +61,32 @@ class Beta:
 
 @dataclass
 class QuadResponseDetail:
-    """Per-segment solution of the regularized split with its KKT certificate.
+    """Regularized split with its KKT certificate: the arrays of :func:`_quad_split`.
 
-    ``ybar``, ``lam`` are option-indexed (length W+1).  ``tau`` is the number
+    ``ybar``, ``lam`` are option-indexed (last axis W+1).  ``tau`` is the number
     of options receiving positive mass; ``order`` is the stable ascending
-    sort of the disutilities that the threshold rule was applied in.
+    sort of the disutilities that the threshold rule was applied in.  Every
+    field has a leading segment axis from :func:`quad_response` and none from
+    :func:`quad_response_row`.
     """
 
     ybar: np.ndarray
-    tau: int
-    mu: float
     lam: np.ndarray
     order: np.ndarray
-    beta: float
+    tau: np.ndarray
+    mu: np.ndarray
+    beta: np.ndarray
 
     def kkt_residual(self, V: np.ndarray) -> float:
-        """Max violation of the optimality system at disutilities V."""
+        """Max violation of the optimality system at disutilities V, over all rows."""
         V = np.asarray(V, dtype=float)
-        y, lam, mu = self.ybar, self.lam, self.mu
-        r_stat = np.abs(V + (2.0 / self.beta) * y - lam - mu).max()
-        r_feas = max(abs(y.sum() - 1.0), float(np.maximum(-y, 0.0).max()),
-                     float(np.maximum(-lam, 0.0).max()))
-        r_comp = float(np.abs(y * lam).max())
-        return max(float(r_stat), r_feas, r_comp)
+        y, lam = self.ybar, self.lam
+        mu, beta = np.expand_dims(self.mu, -1), np.expand_dims(self.beta, -1)
+        r_stat = np.abs(V + (2.0 / beta) * y - lam - mu).max()
+        r_feas = max(np.abs(y.sum(axis=-1) - 1.0).max(), np.maximum(-y, 0.0).max(),
+                     np.maximum(-lam, 0.0).max())
+        r_comp = np.abs(y * lam).max()
+        return float(max(r_stat, r_feas, r_comp))
 
 
 def _quad_split(V: np.ndarray, b: np.ndarray):
@@ -117,25 +121,19 @@ def _quad_split(V: np.ndarray, b: np.ndarray):
     return ybar.reshape(S, n), lam.reshape(S, n), order, tau, mu
 
 
-def _quad_details(V: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[QuadResponseDetail]]:
-    ybar, lam, order, tau, mu = _quad_split(V, b)
-    return ybar, [QuadResponseDetail(ybar=y, tau=t, mu=m, lam=lm, order=o, beta=bs)
-                  for y, t, m, lm, o, bs in zip(ybar, tau.tolist(), mu.tolist(), lam,
-                                                order, b.tolist())]
-
-
 def quad_response_row(V: np.ndarray, beta: float) -> QuadResponseDetail:
     """Closed-form regularized split for one segment (see :func:`_quad_split`)."""
     V = np.asarray(V, dtype=float).reshape(1, -1)
-    return _quad_details(V, np.array([beta], dtype=float))[1][0]
+    b = np.array([beta], dtype=float)
+    return QuadResponseDetail(*(a[0] for a in _quad_split(V, b)), beta=b[0])
 
 
 def quad_response(inst: Instance, x: np.ndarray,
-                  beta: Beta | float) -> tuple[ResponseMatrix, list[QuadResponseDetail]]:
-    """Regularized response of every segment at prices x."""
+                  beta: Beta | float) -> tuple[ResponseMatrix, QuadResponseDetail]:
+    """Regularized response of every segment at prices x, with its certificate."""
     b = Beta.coerce(beta).per_segment(inst.S)
-    ybar, details = _quad_details(inst.disutilities(x), b)
-    return ResponseMatrix(ybar), details
+    detail = QuadResponseDetail(*_quad_split(inst.disutilities(x), b), beta=b)
+    return ResponseMatrix(detail.ybar), detail
 
 
 def quad_profit(inst: Instance, x: np.ndarray, beta: Beta | float) -> float:
@@ -166,13 +164,13 @@ def logit_profit(inst: Instance, x: np.ndarray, beta: Beta | float) -> float:
 
 
 def det_response_set(inst: Instance, x: np.ndarray,
-                     eps_tie: float = EPS_TIE) -> tuple[list[np.ndarray], ResponseMatrix]:
+                     eps_tie: float = EPS_TIE) -> tuple[np.ndarray, ResponseMatrix]:
     """Minimum-disutility option sets and the seller-optimal selection.
 
-    Returns per-segment arrays of tied options (disutility within eps_tie of
-    the minimum) plus the one-hot response picking, inside each tie set, the
-    option with the largest weighted margin (no purchase counts 0), lowest
-    index on exact margin ties.
+    Returns the (S, W+1) boolean mask of tied options (disutility within
+    eps_tie of the segment's minimum) plus the one-hot response picking,
+    inside each tie set, the option with the largest weighted margin (no
+    purchase counts 0), lowest index on exact margin ties.
     """
     V = inst.disutilities(x)
     ties = V <= V.min(axis=1, keepdims=True) + eps_tie
@@ -181,10 +179,7 @@ def det_response_set(inst: Instance, x: np.ndarray,
     best = np.where(ties, gain, -np.inf).argmax(axis=1)  # argmax keeps the first = lowest index
     y = np.zeros_like(V)
     y[np.arange(inst.S), best] = 1.0
-    _, opt = np.nonzero(ties)
-    ends = np.cumsum(ties.sum(axis=1)).tolist()
-    sets = [opt[a:e] for a, e in zip([0] + ends, ends)]
-    return sets, ResponseMatrix(y)
+    return ties, ResponseMatrix(y)
 
 
 def det_profit(inst: Instance, x: np.ndarray, eps_tie: float = EPS_TIE) -> float:
@@ -193,30 +188,27 @@ def det_profit(inst: Instance, x: np.ndarray, eps_tie: float = EPS_TIE) -> float
 
 
 def qpcc_objective(inst: Instance, x: np.ndarray, beta: Beta | float,
-                   details: list[QuadResponseDetail]) -> float:
+                   detail: QuadResponseDetail) -> float:
     """Profit in multiplier form: sum_s rho_s (mu_s + <R_s - C_s, y_s> - (2/beta_s)|ybar_s|^2).
 
     Must coincide with :func:`quad_profit`; the identity is what lets the
     complementarity formulation drop the bilinear <theta, y> term.  Raises if
-    the supplied details do not actually certify (inst, x, beta), which
-    catches stale details from a different price vector.
+    ``detail`` (from :func:`quad_response`) does not actually certify
+    (inst, x, beta), which catches a stale split from another price vector or
+    another strength.
     """
     bet = Beta.coerce(beta).per_segment(inst.S)
-    V = inst.disutilities(x)
-    total = 0.0
-    for s, d in enumerate(details):
-        if abs(d.beta - bet[s]) > 1e-12 * max(1.0, bet[s]):
-            raise ValueError(f"detail {s} was computed for beta={d.beta}, expected {bet[s]}")
-        res = d.kkt_residual(V[s])
-        if res > 1e-6:
-            raise ValueError(f"stale response detail for segment {s}: KKT residual {res:.3e}")
-        y = d.ybar
-        total += inst.rho[s] * (
-            d.mu
-            + float((inst.R[s] - inst.C[s]) @ y[1:])
-            - (2.0 / bet[s]) * float(y @ y)
-        )
-    return float(total)
+    off = np.abs(detail.beta - bet) > 1e-12 * np.maximum(1.0, bet)
+    if off.any():
+        s = int(off.argmax())
+        raise ValueError(f"detail row {s} was computed for beta={detail.beta[s]}, expected {bet[s]}")
+    res = detail.kkt_residual(inst.disutilities(x))
+    if res > 1e-6:
+        raise ValueError(f"stale response detail: KKT residual {res:.3e}")
+    y = detail.ybar
+    per_seg = (detail.mu + ((inst.R - inst.C) * y[:, 1:]).sum(axis=1)
+               - (2.0 / bet) * (y * y).sum(axis=1))
+    return float(inst.rho @ per_seg)
 
 
 def penalization_equivalence_check(V: np.ndarray, beta: float, tol: float = 1e-8) -> bool:

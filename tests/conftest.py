@@ -20,7 +20,7 @@ from tariff_complex import (
 
 def interior_point(system, min_slack=1e-6):
     """Max-slack point of a cell system, or None when it has no interior."""
-    G, h = system.matrices()
+    G, h = system.G, system.h
     n = G.shape[1]
     Gt = np.hstack([G, np.ones((G.shape[0], 1))])
     Gt = np.vstack([Gt, np.concatenate([np.zeros(n), [1.0]])])  # slack cap

@@ -103,8 +103,8 @@ def test_criterion_04_complementarity_objective_identity():
                              W=int(rng.integers(1, 4)), H=int(rng.integers(1, 3)))
         x = rng.uniform(0.0, 4.0, size=(inst.W, inst.H))
         beta = float(10.0 ** rng.uniform(-1.3, 1.7))
-        _, details = quad_response(inst, x, beta)
-        diff = abs(qpcc_objective(inst, x, beta, details) -
+        _, detail = quad_response(inst, x, beta)
+        diff = abs(qpcc_objective(inst, x, beta, detail) -
                    quad_profit(inst, x, beta))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
@@ -126,7 +126,8 @@ def test_criterion_05_cell_concavity_and_value_identity():
         pat = pattern_of(inst, x0, beta)
         qp = cell_qp(inst, pat, beta)
         worst_eig = min(worst_eig, qp.min_concavity_eig())
-        G, h = cell_system(inst, pat, beta).matrices()
+        system = cell_system(inst, pat, beta)
+        G, h = system.G, system.h
         x0f = x0.ravel()
         for _ in range(100):
             d = rng.normal(size=x0f.size)
@@ -186,8 +187,8 @@ def test_criterion_08_large_beta_patterns_stabilize():
         if x is None:
             continue
         x = x.reshape(inst.W, inst.H)
-        sets, resp = det_response_set(inst, x)
-        assert all(len(t) == 1 for t in sets)
+        ties, resp = det_response_set(inst, x)
+        assert np.all(ties.sum(axis=1) == 1)
         assert resp.support() == res.pattern
         beta = 1.0
         while pattern_of(inst, x, beta) != res.pattern:

@@ -59,11 +59,11 @@ def test_bigm_rows_hold_at_oracle_solution():
         inst = make_instance(rng, S=2, W=2, H=1)
         beta = float(10.0 ** rng.uniform(-0.5, 1.0))
         res = quad_oracle(inst, beta)
-        resp, details = quad_response(inst, res.x, beta)
+        resp, detail = quad_response(inst, res.x, beta)
         mm = bigm_quad(inst, beta)
         V = inst.disutilities(res.x)
         for s in range(inst.S):
-            mu = details[s].mu
+            mu = detail.mu[s]
             for w in range(inst.W + 1):
                 expr = V[s, w] + (2.0 / beta) * resp.ybar[s, w] - mu
                 assert expr >= -1e-8
@@ -174,6 +174,18 @@ def test_exhausted_tree_without_incumbent_is_infeasible():
     assert not rep.has_incumbent()
     assert rep.objective == rep.bound == -np.inf
     assert rep.gap is None
+
+
+def test_pinned_program_accepts_roundoff_stationarity():
+    # the node point's stationarity residual (about 2e-9) is roundoff at
+    # disutilities up to 82, so the all-pinned program must report its optimum
+    inst = generate(GeneratorConfig(S=6, n_company_contracts=3, seed=1))
+    fz = np.array([[1, 1, 1, 0], [1, 1, 1, 1], [1, 1, 1, 0],
+                   [1, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 0]])
+    rep = solve_quad(inst, 0.05, fixed_z=fz)
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(276.09475450823, abs=1e-8)
+    assert rep.objective == pytest.approx(bigm_piece_value(inst, 0.05, fz), abs=1e-8)
 
 
 def test_budget_statuses_and_gap_semantics():

@@ -98,7 +98,7 @@ def test_solve_cell_dominates_cell_points():
     assert system.contains(xs, tol=1e-7)
     qp = cell_qp(inst, pat, beta)
     assert val == pytest.approx(qp.value(xs), abs=1e-8)
-    G, h = system.matrices()
+    G, h = system.G, system.h
     for _ in range(50):
         # random point of the closed cell via a ray from x0
         d = rng.normal(size=2)
@@ -195,8 +195,8 @@ def test_pattern_of_stabilizes_for_large_beta():
         if x is None:
             continue
         x = x.reshape(inst.W, inst.H)
-        sets, resp = det_response_set(inst, x)
-        assert all(len(t) == 1 for t in sets)
+        ties, resp = det_response_set(inst, x)
+        assert np.all(ties.sum(axis=1) == 1)
         assert resp.support() == res.pattern
         beta = 1.0
         while pattern_of(inst, x, beta) != res.pattern:
@@ -216,7 +216,7 @@ def test_limit_cell_of_pure_optimum_has_strict_interior():
     res = det_oracle(inst)
     assert res.pattern.is_pure()
     system = cell_system(inst, res.pattern, None)
-    assert not np.any(np.all(system.matrices()[0] == 0.0, axis=1))
+    assert not np.any(np.all(system.G == 0.0, axis=1))
     x = interior_point(system)
     assert x is not None
     assert system.strictly_classifies(x)

@@ -99,11 +99,11 @@ def test_quad_response_per_segment_beta():
     inst = make_instance(rng, S=2, W=2, H=1)
     x = inst.polytope.midpoint()
     beta = Beta(value=1.0, scales=np.array([0.5, 5.0]))
-    resp, details = quad_response(inst, x, beta)
+    resp, detail = quad_response(inst, x, beta)
     V = inst.disutilities(x)
     for s, b in enumerate((0.5, 5.0)):
         assert np.allclose(resp.ybar[s], quad_response_row(V[s], b).ybar)
-        assert details[s].beta == b
+        assert detail.beta[s] == b
 
 
 def test_logit_row_is_boltzmann():
@@ -119,9 +119,9 @@ def test_logit_row_is_boltzmann():
 def test_det_response_optimistic_ties():
     inst = tie_instance()
     x = np.array([[3.0]])
-    sets, resp = det_response_set(inst, x)
+    ties, resp = det_response_set(inst, x)
     # segment with R = 3 is exactly indifferent and takes the contract
-    assert np.array_equal(sets[2], [0, 1])
+    assert np.array_equal(np.flatnonzero(ties[2]), [0, 1])
     assert resp.ybar[2, 1] == 1.0
     assert resp.ybar[0, 0] == 1.0 and resp.ybar[1, 0] == 1.0  # priced out
     assert resp.ybar[3, 1] == 1.0 and resp.ybar[4, 1] == 1.0
@@ -136,9 +136,27 @@ def test_qpcc_objective_equals_quad_profit():
                              W=int(rng.integers(1, 3)), H=int(rng.integers(1, 3)))
         x = rng.uniform(0.0, 4.0, size=(inst.W, inst.H))
         beta = float(10.0 ** rng.uniform(-1.3, 1.7))
-        _, details = quad_response(inst, x, beta)
-        assert qpcc_objective(inst, x, beta, details) == \
+        _, detail = quad_response(inst, x, beta)
+        assert qpcc_objective(inst, x, beta, detail) == \
             pytest.approx(quad_profit(inst, x, beta), abs=1e-10)
+
+
+def test_qpcc_objective_rejects_a_split_it_does_not_certify():
+    inst = make_instance(np.random.default_rng(39), S=3, W=2, H=1)
+    x = inst.polytope.midpoint()
+    scaled = Beta(0.7, np.array([1.0, 2.0, 0.5]))
+    _, detail = quad_response(inst, x, scaled)
+    assert qpcc_objective(inst, x, scaled, detail) == \
+        pytest.approx(quad_profit(inst, x, scaled), abs=1e-10)
+    with pytest.raises(ValueError, match="stale"):
+        qpcc_objective(inst, x + 0.5, scaled, detail)
+    with pytest.raises(ValueError, match="beta"):
+        qpcc_objective(inst, x, 0.7, detail)  # same value, without the scales
+    with pytest.raises(ValueError, match="row 2"):
+        qpcc_objective(inst, x, Beta(0.7, np.array([1.0, 2.0, 0.6])), detail)
+    _, plain = quad_response(inst, x, 0.7)
+    with pytest.raises(ValueError, match="beta"):
+        qpcc_objective(inst, x, 1.4, plain)
 
 
 def test_penalization_equivalence_randomized():
@@ -225,15 +243,17 @@ def _loop_det(inst, x, eps_tie=EPS_TIE):
     return sets, y
 
 
-def _assert_same_quad(details, ybar, V, b):
-    for s, d in enumerate(details):
+def _assert_same_quad(d, ybar, V, b):
+    assert np.issubdtype(d.tau.dtype, np.integer) and d.mu.dtype == np.float64
+    assert d.tau.shape == d.mu.shape == d.beta.shape == (V.shape[0],)
+    for s in range(V.shape[0]):
         y, lam, order, tau, mu = _loop_quad_row(V[s], b[s])
-        assert np.array_equal(d.ybar, y) and np.array_equal(ybar[s], y)
-        assert np.array_equal(d.lam, lam)
-        assert np.array_equal(d.order, order)
-        assert d.tau == tau and type(d.tau) is int
-        assert d.mu == mu and type(d.mu) is float
-        assert d.beta == b[s]
+        assert np.array_equal(d.ybar[s], y) and np.array_equal(ybar[s], y)
+        assert np.array_equal(d.lam[s], lam)
+        assert np.array_equal(d.order[s], order)
+        assert d.tau[s] == tau
+        assert d.mu[s] == mu
+        assert d.beta[s] == b[s]
 
 
 # Entries are small integers (exact ties, within and across rows) or floats,
@@ -258,15 +278,17 @@ def _disutility_rows(draw):
 @given(_disutility_rows())
 def test_batched_kernels_match_row_loops(case):
     V, b = case
-    ybar, details = response._quad_details(V, b)
-    _assert_same_quad(details, ybar, V, b)
+    ybar, lam, order, tau, mu = response._quad_split(V, b)
+    detail = response.QuadResponseDetail(ybar, lam, order, tau, mu, b)
+    _assert_same_quad(detail, ybar, V, b)
     logit = response._softmax(V, b)
     for s in range(V.shape[0]):
         ref = _loop_logit_row(V[s], b[s])
         assert np.array_equal(logit[s], ref)
         assert np.array_equal(logit_row(V[s], b[s]), ref)
         row = quad_response_row(V[s], b[s])
-        assert np.array_equal(row.ybar, ybar[s]) and np.array_equal(row.lam, details[s].lam)
+        assert np.array_equal(row.ybar, ybar[s]) and np.array_equal(row.lam, lam[s])
+        assert np.shape(row.mu) == () and row.mu == mu[s] and row.tau == tau[s]
 
 
 def _ints(draw, lo, hi, k):
@@ -297,17 +319,17 @@ def test_batched_responses_match_segment_loops(case):
     inst, x, beta = case
     V = inst.disutilities(x)
     b = beta.per_segment(inst.S)
-    resp, details = quad_response(inst, x, beta)
-    _assert_same_quad(details, resp.ybar, V, b)
+    resp, detail = quad_response(inst, x, beta)
+    _assert_same_quad(detail, resp.ybar, V, b)
     ref = np.array([_loop_logit_row(V[s], b[s]) for s in range(inst.S)])
     assert np.array_equal(logit_response(inst, x, beta).ybar, ref)
     for eps_tie in (EPS_TIE, 1.0):
-        sets, det = det_response_set(inst, x, eps_tie)
+        ties, det = det_response_set(inst, x, eps_tie)
         ref_sets, ref_y = _loop_det(inst, x, eps_tie)
         assert np.array_equal(det.ybar, ref_y)
-        assert len(sets) == len(ref_sets)
-        for got, want in zip(sets, ref_sets):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ties.dtype == bool and ties.shape == (inst.S, inst.W + 1)
+        for s, want in enumerate(ref_sets):
+            assert np.array_equal(np.flatnonzero(ties[s]), want)
 
 
 def test_profits_call_their_response_once(monkeypatch):
