@@ -206,7 +206,7 @@ def beta_sweep(inst: Instance, betas: list[float], det_prices: np.ndarray,
             rep = qspc(inst, beta, start=det_x, opts=qspc_opts or QspcOptions())
         else:
             rep = solve_quad(inst, beta, solver_opts or SolverOptions(),
-                             warm_incumbent=(det_x, fixed_val))
+                             warm_incumbent=det_x)
         opt_val = max(rep.objective, fixed_val)
         x_opt = rep.x if rep.objective >= fixed_val else det_x
         table.add(beta, "quad_opt", beta, opt_val)

@@ -236,15 +236,12 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
         return incumbent.offer(_profit(inst, x, resp), x, resp, resp.support())
 
     def leaf_value(z, node, incumbent):
-        yv = z[prog.bin_idx].reshape(S, W + 1)
-        combo = tuple(int(np.argmax(yv[s])) for s in range(S))
+        combo = tuple(z[prog.bin_idx].reshape(S, W + 1).argmax(axis=1).tolist())
         res = pure_assignment_lp(inst, combo, warm=z[:W * inst.H])
         if res is None:
             return
         val, x = res
-        y = np.zeros((S, W + 1))
-        y[np.arange(S), combo] = 1.0
-        resp = ResponseMatrix(y)
+        resp = ResponseMatrix(np.eye(W + 1)[list(combo)])
         incumbent.offer(val, x, resp, resp.support())
 
     return _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0,
@@ -277,7 +274,7 @@ def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
 def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = None,
                fixed_z: np.ndarray | None = None,
                bigm: BigM | None = None,
-               warm_incumbent: tuple[np.ndarray, float] | None = None) -> SolveReport:
+               warm_incumbent: np.ndarray | None = None) -> SolveReport:
     """Regularized-model optimum by QP-based branch and bound on the
     activation indicators.
 
@@ -349,7 +346,7 @@ def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix
     nx = prog.x_shape[0] * prog.x_shape[1]
     incumbent = _Incumbent()
     if warm_incumbent is not None:
-        offer(np.asarray(warm_incumbent[0], dtype=float), incumbent)
+        offer(np.asarray(warm_incumbent, dtype=float), incumbent)
 
     root = _Node(fixed_lo=fix_lo.copy(), fixed_hi=fix_hi.copy(), warm=None,
                  parent_bound=np.inf)

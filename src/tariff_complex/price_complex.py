@@ -9,11 +9,13 @@ set, the defining rows at strength beta_s are, for every option w:
 * active   (A[s,w] = 1):  ``a_s V_sw <= 2/beta_s + sum_{w' in act(s)} V_sw'``
 
 Active rows are strict for exact-support classification and closed in every
-solved system (their closure).  As beta -> inf the offsets vanish and the
-cell of a pattern becomes its limit cell in the deterministic model, where
-active options tie at the segment minimum: ``cell_system(inst, A, None)``.
-On a closed cell the profit is an explicit concave quadratic in the prices,
-which is what the local search descends on.
+solved system (their closure).  On a closed cell the profit is an explicit
+concave quadratic in the prices, which is what the local search descends on.
+As beta -> inf the offsets vanish and a pattern's cell becomes its limit cell
+in the deterministic model, where active options tie at the segment minimum.
+Every beta here may be None (or math.inf) for that limit: ``cell_system``,
+``cell_qp`` and ``solve_cell`` (pure patterns, linear profit) and
+``quad_oracle``, which then walks the pure patterns as the deterministic oracle.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ def _active_sums(A: np.ndarray, g: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     return g_sum, r_sum
 
 
+def _is_limit(beta) -> bool:
+    """Whether ``beta`` names the deterministic limit (None or math.inf)."""
+    return beta is None or (isinstance(beta, float) and np.isinf(beta))
+
+
 def cell_system(inst: Instance, pattern: Pattern, beta) -> CellSystem:
     """Defining rows of the cell of ``pattern`` at strength ``beta``.
 
@@ -99,7 +106,7 @@ def cell_system(inst: Instance, pattern: Pattern, beta) -> CellSystem:
     would read ``0 < 0`` and empty the cell's interior, so it is left out.
     """
     _check_pattern(inst, pattern)
-    limit = beta is None or (isinstance(beta, float) and np.isinf(beta))
+    limit = _is_limit(beta)
     two_over = np.zeros(inst.S) if limit else 2.0 / Beta.coerce(beta).per_segment(inst.S)
     g, r = _option_arrays(inst)
     A = pattern.A.astype(bool)
@@ -163,18 +170,29 @@ class CellQP:
         return float(np.linalg.eigvalsh(-(self.Q + self.Q.T) / 2.0)[0])
 
 
-def cell_qp(inst: Instance, pattern: Pattern, beta: Beta | float) -> CellQP:
+def cell_qp(inst: Instance, pattern: Pattern, beta: Beta | float | None) -> CellQP:
     """Assemble the closed-cell profit as an explicit quadratic in vec(x).
 
     Per segment, active contracts w get mass ``(beta_s/2)(c_s - V_sw)`` with
     the affine level ``c_s = (2/beta_s + sum_act V)/a_s``, so the segment
     profit is a product of affine forms, expanded here term by term.
+
+    At beta None (or math.inf) it is the limit cell's linear profit (Q = 0):
+    each segment of a pure pattern buys its one option; others raise ValueError.
     """
     _check_pattern(inst, pattern)
-    b = Beta.coerce(beta).per_segment(inst.S)
     g, r = _option_arrays(inst)
     A = pattern.A.astype(bool)
     a = A.sum(axis=1)
+    if _is_limit(beta):
+        if np.any(a != 1):
+            raise ValueError("the limit cell's profit needs a pure pattern")
+        seg, opt = np.nonzero(A)
+        cost = np.concatenate([np.zeros((inst.S, 1)), inst.C], axis=1)[seg, opt]
+        return CellQP(pattern=pattern, Q=np.zeros((g.shape[2],) * 2),
+                      c=_in_order(inst.rho[:, None] * g[seg, opt]),
+                      d=float(_in_order(-(inst.rho * cost))))
+    b = Beta.coerce(beta).per_segment(inst.S)
     g_sum, r_sum = _active_sums(A, g, r)
     # level line c_s(x) = (2/beta + sum_act V)/a
     g_lvl = g_sum / a[:, None]
@@ -193,9 +211,10 @@ def cell_qp(inst: Instance, pattern: Pattern, beta: Beta | float) -> CellQP:
     return CellQP(pattern=pattern, Q=Q, c=c, d=d)
 
 
-def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
+def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
                warm: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Maximize profit over one closed cell.
+    """Maximize profit over one closed cell; at beta None, the LP over the
+    limit cell of a pure pattern.
 
     Returns (argmax prices, value).  Raises :class:`CellInfeasibleError` on an
     empty cell.  Deterministic for a given warm start.  A warm start changes
@@ -208,14 +227,13 @@ def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
     return x, value
 
 
-def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float,
+def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
                 warm: np.ndarray | None = None) -> tuple[np.ndarray, float, bool]:
     """:func:`solve_cell` plus whether the cell QP stopped at its iteration cap."""
     qp = cell_qp(inst, pattern, beta)
     system = cell_system(inst, pattern, beta)
     prob = QpProblem(Q=-qp.Q, c=-qp.c, G=system.G, h=system.h)
-    w0 = None if warm is None else np.asarray(warm, dtype=float).ravel()
-    sol = solve_qp(prob, warm_start=w0)
+    sol = solve_qp(prob, warm_start=warm)
     if sol.status == "infeasible":
         raise CellInfeasibleError(f"pattern {pattern.A.tolist()} has an empty cell")
     if sol.status not in ("optimal", "iteration_limit"):
@@ -253,8 +271,8 @@ def neighbors(inst: Instance, pattern: Pattern,
 
 @dataclass
 class OracleResult:
-    """Best cell found.  ``n_capped`` counts feasible cells whose QP stopped at
-    its iteration cap: their values are not certified optima."""
+    """Best cell found.  ``n_capped`` counts feasible cells whose QP or LP
+    stopped at its iteration cap: their values are not certified optima."""
 
     value: float
     pattern: Pattern | None
@@ -268,25 +286,30 @@ def count_patterns(S: int, W: int) -> int:
     return (2 ** (W + 1) - 1) ** S
 
 
+def _patterns(S: int, rows: np.ndarray):
+    """Every pattern with rows from ``rows``, the last segment's varying fastest."""
+    return (Pattern(np.array(combo)) for combo in itertools.product(rows, repeat=S))
+
+
 def enumerate_patterns(S: int, W: int):
     """All support patterns with non-empty rows, in lexicographic mask order."""
-    n_opt = W + 1
-    row_masks = range(1, 2 ** n_opt)
-    for combo in itertools.product(row_masks, repeat=S):
-        A = np.zeros((S, n_opt), dtype=np.int8)
-        for s, mask in enumerate(combo):
-            for w in range(n_opt):
-                A[s, w] = (mask >> w) & 1
-        yield Pattern(A)
+    masks = np.arange(1, 2 ** (W + 1))[:, None]
+    return _patterns(S, (masks >> np.arange(W + 1)) & 1)
 
 
 def quad_oracle(inst: Instance, beta, max_patterns: int | None = None) -> OracleResult:
-    """Global optimum of the regularized profit by full cell enumeration."""
-    total = count_patterns(inst.S, inst.W)
+    """Global optimum of the regularized profit by full cell enumeration.
+
+    At beta None (or math.inf) only the pure patterns are walked, each over
+    its limit cell: that is the deterministic optimum (:func:`det_oracle`).
+    """
+    limit = _is_limit(beta)
+    total = (inst.W + 1) ** inst.S if limit else count_patterns(inst.S, inst.W)
     if max_patterns is not None and total > max_patterns:
-        raise ValueError(f"{total} patterns exceed the cap {max_patterns}")
+        raise ValueError(f"{total} {'pure ' if limit else ''}patterns exceed the cap {max_patterns}")
     best = OracleResult(value=-np.inf, pattern=None, x=None, n_feasible=0, n_total=total)
-    for pat in enumerate_patterns(inst.S, inst.W):
+    pats = _patterns(inst.S, np.eye(inst.W + 1)) if limit else enumerate_patterns(inst.S, inst.W)
+    for pat in pats:
         try:
             x, val, capped = _solve_cell(inst, pat, beta)
         except CellInfeasibleError:
@@ -298,54 +321,28 @@ def quad_oracle(inst: Instance, beta, max_patterns: int | None = None) -> Oracle
     return best
 
 
-def pure_patterns(S: int, W: int):
-    """One-hot patterns: each segment locked to a single option."""
-    for combo in itertools.product(range(W + 1), repeat=S):
-        A = np.zeros((S, W + 1), dtype=np.int8)
-        for s, w in enumerate(combo):
-            A[s, w] = 1
-        yield combo, Pattern(A)
-
-
 def pure_assignment_lp(inst: Instance, combo: tuple[int, ...],
                        warm: np.ndarray | None = None) -> tuple[float, np.ndarray] | None:
     """Exact deterministic profit when segment s is held to option combo[s].
 
-    Maximizes the linear profit over the polyhedron where every assigned
+    Solves the limit cell of that one-hot pattern (:func:`solve_cell` at
+    beta None): the linear profit over the polyhedron where every assigned
     option attains its segment's minimum disutility.  Returns (value, x) or
     None when that region is empty.
     """
-    seg, opt = np.arange(inst.S), np.asarray(combo)
-    system = cell_system(inst, Pattern(np.eye(inst.W + 1, dtype=np.int8)[opt]), None)
-    g, _ = _option_arrays(inst)
-    cost = np.concatenate([np.zeros((inst.S, 1)), inst.C], axis=1)[seg, opt]
-    c = _in_order(inst.rho[:, None] * g[seg, opt])
-    const = float(_in_order(-(inst.rho * cost)))
-    sol = solve_qp(QpProblem(Q=None, c=-c, G=system.G, h=system.h),
-                   warm_start=None if warm is None else np.asarray(warm, dtype=float).ravel())
-    if sol.status == "infeasible":
+    pat = Pattern(np.eye(inst.W + 1, dtype=np.int8)[np.asarray(combo)])
+    try:
+        x, value = solve_cell(inst, pat, None, warm)
+    except CellInfeasibleError:
         return None
-    if sol.status != "optimal":
-        raise RuntimeError(f"pure-assignment LP ended with status {sol.status}")
-    return -sol.value + const, sol.z.reshape(inst.W, inst.H)
+    return value, x
 
 
 def det_oracle(inst: Instance, max_patterns: int | None = None) -> OracleResult:
-    """Deterministic-model optimum: best pure pattern over its limit cell.
+    """Deterministic-model optimum: best pure pattern over its limit cell
+    (:func:`quad_oracle` at beta None), counting capped LPs in ``n_capped``.
 
     Ties on cell boundaries realize the seller-optimistic rule, since every
     tying assignment is enumerated over its own closed region.
     """
-    total = (inst.W + 1) ** inst.S
-    if max_patterns is not None and total > max_patterns:
-        raise ValueError(f"{total} pure patterns exceed the cap {max_patterns}")
-    best = OracleResult(value=-np.inf, pattern=None, x=None, n_feasible=0, n_total=total)
-    for combo, pat in pure_patterns(inst.S, inst.W):
-        res = pure_assignment_lp(inst, combo)
-        if res is None:
-            continue
-        best.n_feasible += 1
-        val, x = res
-        if val > best.value:
-            best.value, best.pattern, best.x = val, pat, x
-    return best
+    return quad_oracle(inst, None, max_patterns)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class QspcOptions:
     with probability ``sigma``.  ``neighbor_mode`` picks how the one-flip
     neighborhood is scanned: one QP per candidate pattern, or a single
     restricted mixed-binary solve with the candidate indicators freed.
+    ``time_limit_s`` bounds the whole search: each restricted ``solve_quad``
+    call gets what is left of it.
     """
 
     r_max: int = 3
@@ -57,7 +59,6 @@ class QspcOptions:
     neighbor_mode: str = "per_pattern_qp"  # or "restricted_miqp"
     rng_seed: int = 0
     restart_gap: float = 3e-2
-    restart_time_limit_s: float = 3600.0
     time_limit_s: float = 3600.0
 
     def __post_init__(self):
@@ -143,8 +144,8 @@ def _restricted_solve(inst, bet, A, free, x_A, phi_A, opts, counters):
     fz[free] = -1
     rep = solve_quad(inst, bet,
                      SolverOptions(gap=opts.restart_gap,
-                                   time_limit_s=opts.restart_time_limit_s),
-                     fixed_z=fz, warm_incumbent=(x_A, phi_A))
+                                   time_limit_s=opts.time_limit_s),
+                     fixed_z=fz, warm_incumbent=x_A)
     if counters is not None and rep.status == "time_limit":
         counters.timed_out = True
     if not rep.has_incumbent() or rep.pattern == A:
@@ -223,12 +224,15 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
     def out_of_time():
         return time.perf_counter() - t0 > opts.time_limit_s
 
+    def left():  # opts with time_limit_s cut to what is left of it
+        return replace(opts, time_limit_s=max(0.0, opts.time_limit_s - (time.perf_counter() - t0)))
+
     while state.r < opts.r_max and not out_of_time():
         if state.r == 0:
             while not out_of_time():
                 state.n_explore += 1
                 A_n, x_n, phi_n = explore_good_neighbors(
-                    inst, bet, state.pattern, state.x, state.phi, opts=opts,
+                    inst, bet, state.pattern, state.x, state.phi, opts=left(),
                     counters=state)
                 moved = A_n != state.pattern
                 state.pattern, state.x, state.phi = A_n, x_n, phi_n
@@ -239,7 +243,7 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
                     break
         if out_of_time():
             break
-        A_r, x_r, phi_r = miqp_restart(inst, bet, state.pattern, opts, rng=rng,
+        A_r, x_r, phi_r = miqp_restart(inst, bet, state.pattern, left(), rng=rng,
                                        warm=(state.x, state.phi), counters=state)
         improved = phi_r > state.phi + _REL_IMPROVE * max(1.0, abs(state.phi))
         if improved:

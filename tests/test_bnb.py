@@ -222,7 +222,7 @@ def test_warm_incumbent_is_honored():
     beta = 2.0
     cold = solve_quad(inst, beta, SolverOptions(gap=1e-6))
     warm = solve_quad(inst, beta, SolverOptions(gap=1e-6),
-                      warm_incumbent=(cold.x, cold.objective))
+                      warm_incumbent=cold.x)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
     assert warm.node_count <= cold.node_count
 

@@ -27,6 +27,7 @@ from tariff_complex import (
     quad_profit,
     quad_response,
     solve_cell,
+    solve_det,
     solve_qp,
 )
 from tariff_complex import price_complex
@@ -277,9 +278,11 @@ def test_quad_oracle_beats_every_sampled_price(tiny_set, tiny_beta_list,
         assert quad_profit(inst, res.x, beta) == pytest.approx(res.value, abs=1e-8)
 
 
-def test_quad_oracle_counts_iteration_capped_cells(monkeypatch):
-    inst = make_instance(np.random.default_rng(53), S=2, W=1, H=2)
-    beta = 2.0
+def _check_capped_oracle(monkeypatch, beta, seed):
+    """With every cell solve forced to the iteration cap, the oracle at
+    ``beta`` (None: the deterministic one) keeps each capped point, counts
+    it in ``n_capped``, and finds the uncapped answer."""
+    inst = make_instance(np.random.default_rng(seed), S=2, W=1, H=2)
     exact = quad_oracle(inst, beta)
     assert exact.n_capped == 0 and exact.n_feasible > 0
     solve_qp = price_complex.solve_qp
@@ -299,6 +302,22 @@ def test_quad_oracle_counts_iteration_capped_cells(monkeypatch):
     # the local search still takes a capped cell as solved
     _, value = solve_cell(inst, exact.pattern, beta)
     assert value == exact.value
+    return inst, exact
+
+
+def test_quad_oracle_counts_iteration_capped_cells(monkeypatch):
+    _check_capped_oracle(monkeypatch, 2.0, seed=53)
+
+
+def test_det_oracle_counts_iteration_capped_cells(monkeypatch):
+    # at this seed branch and bound reaches a leaf LP, so its search meets
+    # the cap too; a capped LP's point is feasible and is kept
+    inst, exact = _check_capped_oracle(monkeypatch, None, seed=52)
+    res = det_oracle(inst)
+    assert res.n_capped == res.n_feasible == exact.n_feasible
+    assert res.value == exact.value and res.pattern == exact.pattern
+    rep = solve_det(inst)
+    assert rep.status == "optimal" and rep.objective == pytest.approx(exact.value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +461,22 @@ def test_cell_arrays_match_loop_reference():
                 assert type(qp.d) is float and _same_bytes(qp.d, d)
 
 
-def _loop_pure_lp(inst, combo):
-    """Reference: the pure-assignment LP over the loop's limit rows."""
-    pat = Pattern(np.eye(inst.W + 1, dtype=np.int8)[list(combo)])
-    G, h = _loop_limit_rows(inst, pat)
+def _loop_pure_profit(inst, combo):
+    """Reference: the linear profit (c, const) of a pure assignment."""
     c, const = np.zeros(inst.W * inst.H), 0.0
     for s, w in enumerate(combo):
         if w == 0:
             continue
         c[(w - 1) * inst.H: w * inst.H] += inst.rho[s] * inst.E[s, w - 1]
         const -= inst.rho[s] * inst.C[s, w - 1]
+    return c, const
+
+
+def _loop_pure_lp(inst, combo):
+    """Reference: the pure-assignment LP over the loop's limit rows."""
+    pat = Pattern(np.eye(inst.W + 1, dtype=np.int8)[list(combo)])
+    G, h = _loop_limit_rows(inst, pat)
+    c, const = _loop_pure_profit(inst, combo)
     sol = solve_qp(QpProblem(Q=None, c=-c, G=G, h=h))
     if sol.status == "infeasible":
         return None
@@ -469,10 +494,27 @@ def test_limit_rows_of_pure_patterns_match_loop_reference():
             G, h = _loop_limit_rows(inst, pat)
             system = cell_system(inst, pat, None)
             assert _same_bytes(system.G, G) and _same_bytes(system.h, h)
+            c, const = _loop_pure_profit(inst, combo)
+            for limit in (None, math.inf):
+                qp = cell_qp(inst, pat, limit)
+                assert _same_bytes(qp.c, c) and type(qp.d) is float and _same_bytes(qp.d, const)
+                assert not np.any(qp.Q) and qp.Q.shape == (c.size, c.size)
             got, want = pure_assignment_lp(inst, combo), _loop_pure_lp(inst, combo)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0] == want[0] and _same_bytes(got[1], want[1])
+
+
+def test_limit_cell_qp_needs_a_pure_pattern():
+    inst = make_instance(np.random.default_rng(29), S=2, W=2, H=1)
+    split = Pattern(np.array([[0, 1, 1], [1, 0, 0]]))
+    for limit in (None, math.inf):
+        with pytest.raises(ValueError):
+            cell_qp(inst, split, limit)
+        with pytest.raises(ValueError):
+            solve_cell(inst, split, limit)
+    # the same pattern has a regularized profit at every finite beta
+    assert cell_qp(inst, split, 1.0).min_concavity_eig() >= -1e-9
 
 
 def _loop_neighbors(inst, pattern, x):

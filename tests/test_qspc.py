@@ -1,5 +1,8 @@
 """Pivoting local search with randomized block restarts."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,29 @@ def test_time_limit_zero_keeps_start_state():
     assert rep.has_incumbent()
     assert rep.extras["timed_out"]
     assert quad_profit(inst, rep.x, 1.0) == pytest.approx(rep.objective, abs=1e-8)
+
+
+def test_restricted_solves_get_the_remaining_budget(monkeypatch):
+    # a fake search clock that only the restricted solves move, one second
+    # each, so the budget left at every call is known exactly
+    module = sys.modules["tariff_complex.qspc"]
+    now, seen = [0.0], []
+    solve_quad = module.solve_quad
+
+    def timed(inst, beta, opts, **kwargs):
+        seen.append((opts.time_limit_s, limit - now[0]))
+        now[0] += 1.0
+        return solve_quad(inst, beta, opts, **kwargs)
+
+    monkeypatch.setattr(module, "solve_quad", timed)
+    monkeypatch.setattr(module, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    limit = 3.5
+    inst = make_instance(np.random.default_rng(181), S=3, W=2, H=1)
+    rep = qspc(inst, 1.0, opts=QspcOptions(time_limit_s=limit,
+                                           neighbor_mode="restricted_miqp", r_max=10))
+    assert len(seen) >= 2
+    assert all(got <= left for got, left in seen)
+    assert rep.extras["timed_out"]
 
 
 def test_heuristic_stays_below_exact_bound():
