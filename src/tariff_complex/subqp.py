@@ -12,16 +12,21 @@ parametrization (an SVD, once per solve, since ``A`` may be rank-deficient),
 finds a starting point with a phase-1 LP, and then iterates
 equality-constrained steps.  The starting working set is an independent
 subset of the rows tight there, picked greedily by index with an incremental
-(twice Gram-Schmidt) rank test.  Each working set is factorized once, by a
-Householder QR of its rows' transpose: the trailing columns of Q span the
-null space for the step, and the leading block with R gives the multipliers
-(Nocedal & Wright, *Numerical Optimization*, ch. 16).  Rows in the working
-set's span never join it, so the working rows stay independent and the
-unpivoted QR needs no rank decision: the ratio test considers only rows
-whose rate along the step exceeds ``1e-13 * max(1, |p|_inf)`` (a spanned
-row's rate is roundoff of order eps * |p|), and a blocking row that a
-``matrix_rank``-style test finds in the span anyway (spanned with large
-coefficients, which amplify that roundoff) is passed over.  LPs (Q = 0)
+(twice Gram-Schmidt) rank test, and is factorized by a Householder QR of its
+rows' transpose: the trailing columns of the orthogonal factor span the null
+space for the step, and the leading block with R gives the multipliers
+(Nocedal & Wright, *Numerical Optimization*, ch. 16).  A row that joins the
+working set updates that factor in place by one Householder reflector on its
+null-space block (Gill, Golub, Murray & Saunders, Math. Comp. 1974), and R
+is formed from the leading block only when the multipliers need it; a row
+that leaves (or drifts off its bound) triggers a fresh QR, so at most n
+updates build up.  Rows in the working set's span never join it, so the
+working rows stay independent and the unpivoted QR needs no rank decision:
+the ratio test considers only rows whose rate along the step exceeds
+``1e-13 * max(1, |p|_inf)`` (a spanned row's rate is roundoff of order
+eps * |p|), and a blocking row that a ``matrix_rank``-style test finds in the
+span anyway (spanned with large coefficients, which amplify that roundoff)
+is passed over.  LPs (Q = 0)
 skip the reduced-Hessian eigendecomposition: the step is the projected
 steepest-descent ray or zero.  After a full Newton step that no row blocks,
 the iterate minimizes over the working set, so the next iteration goes
@@ -181,18 +186,38 @@ def _independent_subset(G: np.ndarray, cand: np.ndarray, cap: int) -> list[int]:
 
 
 def _factor_working_set(C: np.ndarray):
-    """Householder QR of the working rows: C' = Y R, with Z spanning C's null space.
+    """Householder QR of the working rows: C' = Y R with Y = Qf[:, :k].
 
-    Returns (Y, R, Z).  The rows are independent (the starting set is picked
-    by a rank test and the ratio test admits no row in their span), so R is
-    nonsingular without pivoting.
+    Returns (Qf, R): the complete orthogonal factor, whose trailing columns
+    Z = Qf[:, k:] span C's null space, and the k x k triangle R.  The rows
+    are independent (the starting set is picked by a rank test and the ratio
+    test admits no row in their span), so R is nonsingular without pivoting.
     """
-    k = C.shape[0]
     Qf, R = np.linalg.qr(C.T, mode="complete")
-    return Qf[:, :k], R[:k], Qf[:, k:]
+    return Qf, R[: C.shape[0]]
 
 
-def _in_span(row: np.ndarray, Y: np.ndarray, R: np.ndarray, Z: np.ndarray) -> bool:
+def _join_working_set(Qf: np.ndarray, work: list[int], G: np.ndarray, i: int) -> None:
+    """Row i joins the working set: update Qf in place and insert i into work.
+
+    One Householder reflector on the null-space block Z = Qf[:, k:] maps
+    Z' a to a multiple of its first unit vector, so column k of Qf carries
+    a's component outside the old span and the columns after it span the new
+    null space, in O(n (n - k)).  Y is then no longer a triangular factor's,
+    but C' = Y R holds with R = Y' C', which its users only solve with.
+    """
+    k = len(work)
+    Z = Qf[:, k:]
+    v = Z.T @ G[i]
+    alpha = -np.copysign(np.linalg.norm(v), v[0])
+    v[0] -= alpha
+    Qf[:, k:] = Z - np.outer(Z @ v, v * (2.0 / (v @ v)))
+    work.append(i)
+    work.sort()
+
+
+def _in_span(row: np.ndarray, Y: np.ndarray, Z: np.ndarray, R: np.ndarray | None,
+             C: np.ndarray) -> bool:
     """Whether the unit row lies in the span of the working rows C' = Y R.
 
     The residual ``|Z' row|`` divided by the norm of ``(R^-1 Y' row, -1)``
@@ -201,11 +226,13 @@ def _in_span(row: np.ndarray, Y: np.ndarray, R: np.ndarray, Z: np.ndarray) -> bo
     there (Frobenius norm for the largest singular value).  A spanned row's
     residual is roundoff of order eps * |R^-1 Y' row|; one above 1e-8 would
     need coefficients near 1e8, so it is taken as independent without the
-    solve with R.
+    solve with R.  ``R`` None (after an insertion) is formed from Y and C.
     """
     resid = float(np.linalg.norm(Z.T @ row))
     if resid > 1e-8:
         return False
+    if R is None:
+        R = Y.T @ C.T
     k, n = R.shape[0], row.size
     coef = np.linalg.solve(R, Y.T @ row)
     tol = max(k + 1, n) * np.finfo(float).eps * np.sqrt(np.sum(R * R) + row @ row)
@@ -266,13 +293,17 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
     # after an unblocked full Newton step x minimizes over the working set,
     # so the next iteration goes straight to the multipliers
     full_step = False
-    fact = None  # (Y, R, Z) of the working set; None once the set changes
+    # complete orthogonal factor of the working rows, updated in place when a
+    # row joins and refactorized (Qf None) after a removal; R, with C' = Y R,
+    # is None after an insertion until the multipliers need it
+    Qf = R = None
     while it < max_iter:
         it += 1
         g = Q @ x + c
-        if fact is None:
-            fact = _factor_working_set(G[work])
-        Y, R, Z = fact
+        if Qf is None:
+            Qf, R = _factor_working_set(G[work])
+        k = len(work)
+        Y, Z = Qf[:, :k], Qf[:, k:]
         if not full_step:
             p, ray = _working_set_step(Q, g, Z, qscale)
         if full_step or (not ray and float(np.abs(p).max(initial=0.0))
@@ -287,11 +318,13 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
                 # a row drifted out of tightness; its manifold is fiction
                 for i in reversed(stale):
                     work.pop(i)
-                fact = None
+                Qf = None
                 stall += 1
                 if stall > _STALL_LIMIT:
                     bland = True
                 continue
+            if R is None:
+                R = Y.T @ G[work].T
             lam = np.linalg.solve(R, -(Y.T @ g))
             mult_tol = 1e-10 * max(1.0, float(np.abs(g).max(initial=0.0)))
             neg = [i for i, lv in enumerate(lam) if lv < -mult_tol]
@@ -302,7 +335,7 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
             else:
                 drop = min(neg, key=lambda i: (lam[i], work[i]))
             work.pop(drop)
-            fact = None
+            Qf = None
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
@@ -326,7 +359,7 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
             margin = slack[cand] - a_block * d[cand]
             tight = cand[margin <= 1e-9 + 1e-12 * np.abs(a_block * d[cand])]
             blocker = int(tight.min())
-            if a_block > alpha_target or not _in_span(G[blocker], Y, R, Z):
+            if a_block > alpha_target or not _in_span(G[blocker], Y, Z, R, G[work]):
                 break
             # spanned with large coefficients, its rate is amplified roundoff
             cand = cand[cand != blocker]
@@ -336,9 +369,8 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
         alpha = min(alpha_target, a_block)
         x = x + alpha * p
         if blocker is not None and a_block <= alpha_target:
-            work.append(blocker)
-            work.sort()
-            fact = None
+            _join_working_set(Qf, work, G, blocker)
+            R = None
         else:
             full_step = True
         if alpha <= 1e-13:

@@ -341,7 +341,10 @@ def test_generated_det_working_sets_are_independent(monkeypatch):
     # a bound row that big-M rows span with coefficients ~5e3 once joined a
     # 40-row working set: its rate along a unit ray was roundoff (2.5e-13),
     # above the step-relative threshold, and left R singular
+    # working sets are refactorized after a removal and reached by an
+    # in-place update when a row joins; both are checked
     real = subqp._factor_working_set
+    real_join = subqp._join_working_set
     sizes = []
 
     def checked(C):
@@ -349,7 +352,13 @@ def test_generated_det_working_sets_are_independent(monkeypatch):
         sizes.append(C.shape[0])
         return real(C)
 
+    def checked_join(Qf, work, G, i):
+        real_join(Qf, work, G, i)
+        assert np.linalg.matrix_rank(G[work]) == len(work)
+        sizes.append(len(work))
+
     monkeypatch.setattr(subqp, "_factor_working_set", checked)
+    monkeypatch.setattr(subqp, "_join_working_set", checked_join)
     inst = generate(GeneratorConfig(S=8, n_company_contracts=3, seed=18))
     rep = solve_det(inst, SolverOptions(node_limit=30))
     assert max(sizes) >= 40

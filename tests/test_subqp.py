@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from tariff_complex import QpProblem, find_feasible_point, project_simplex, solve_qp
-from tariff_complex.subqp import _independent_subset
+from tariff_complex.subqp import _factor_working_set, _independent_subset, _join_working_set
 
 
 def test_project_simplex_basic_points():
@@ -286,3 +286,41 @@ def test_dependent_tight_rows_never_share_the_active_set(case):
     active = G[sol.active_set]
     assert np.linalg.matrix_rank(active) == len(sol.active_set)
     assert sol.kkt_residual <= 1e-8
+
+
+@st.composite
+def _row_insertions(draw):
+    """A starting working set and the rows that join it one at a time.
+
+    Each joining row is random or lies along the first null-space column of
+    the factor it joins (the case where the reflector's sign choice avoids
+    cancellation), plus a small random part; rows scale up to 1e4.
+    """
+    n = draw(st.integers(1, 8))
+    k0 = draw(st.integers(0, n - 1))
+    kinds = draw(st.lists(st.sampled_from(["random", "aligned"]), min_size=1, max_size=n - k0))
+    scales = [10.0 ** draw(st.integers(0, 4)) for _ in range(k0 + len(kinds))]
+    return n, k0, kinds, scales, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_insertions())
+def test_row_insertion_updates_the_factor(case):
+    n, k0, kinds, scales, seed = case
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(k0 + len(kinds), n)) * np.array(scales)[:, None]
+    # the starting set is not sorted by row index, to check that join sorts
+    work = list(rng.permutation(k0))
+    Qf, _ = _factor_working_set(G[work])
+    for i, kind in enumerate(kinds, start=k0):
+        if kind == "aligned":
+            G[i] = (Qf[:, len(work)] + 1e-6 * rng.normal(size=n)) * scales[i]
+        _join_working_set(Qf, work, G, i)
+        assert work == sorted(work) and len(set(work)) == len(work)
+        k = len(work)
+        Z = Qf[:, k:]
+        assert np.linalg.norm(Qf.T @ Qf - np.eye(n), np.inf) <= 1e-12
+        unit = G[work] / np.linalg.norm(G[work], axis=1)[:, None]
+        assert np.abs(unit @ Z).max(initial=0.0) <= 1e-12
+        fresh = np.linalg.qr(G[work].T, mode="complete")[0][:, k:]
+        assert np.abs(Z @ Z.T - fresh @ fresh.T).max() <= 1e-10
