@@ -6,26 +6,40 @@ activation indicators switched by big-M rows:
 
 * deterministic: ``0 <= V_sw(x) - mu_s <= M_sw (1 - y_sw)`` with one-hot
   ``ybar_s``; an integral optimum always exists, so branching is on ``ybar``.
-* regularized: ``0 <= V_sw(x) + (2/beta_s) y_sw - mu_s <= M_sw (1 - z_sw)``
-  with ``0 <= y_sw <= z_sw`` binary; the objective is the multiplier form of
-  the profit, concave in ``(x, mu, ybar)``.
+* regularized: the slack ``s_sw = V_sw(x) + (2/beta_s) y_sw - mu_s`` obeys
+  ``s_sw >= 0``, ``y_sw >= 0`` and ``y_sw s_sw = 0``; the objective is the
+  multiplier form of the profit, concave in ``(x, mu, ybar)``.  The paper's
+  binaries ``z_sw`` encode only that complementarity, through
+  ``s <= M (1 - z)`` and ``y <= z``.  The convex hull of
+  ``{y s = 0, 0 <= y <= 1, 0 <= s <= M}`` is ``y + s/M <= 1``, so the
+  relaxation carries the row ``s_sw + M_sw y_sw <= M_sw`` instead and no
+  ``z`` at all, with the same bound at every node.  Branching is on
+  complementarity pairs (Bard & Moore, SIAM J. Sci. Stat. Comput. 11, 1990;
+  Hu, Mitchell, Pang, Bennett & Kunapuli, SIAM J. Optim. 19, 2008):
+  indicator 0 appends ``y_sw <= 0``, indicator 1 appends ``s_sw <= 0``.
 
-The deterministic program is the limit of the regularized one: without the
-``(2/beta_s) ybar`` column and the ``y <= z`` rows, with ``ybar`` as the
-binaries.  One builder assembles both, and its big-M constants differ only
-by the headroom ``2/beta_s``.  One branch-and-bound loop serves both; each
-model supplies only how a price vector is evaluated exactly and how an
-integral node point is closed.
+The deterministic program is the limit of the regularized one: the same
+columns and big-M rows without the ``(2/beta_s) ybar`` column and the
+``-y <= 0`` rows, whose bounds its nodes append instead.  One builder
+assembles both, and its big-M constants differ only by the headroom
+``2/beta_s``.  One branch-and-bound loop serves both; each model supplies
+how a price vector is evaluated exactly, each indicator's value at a node
+point, and how an integral node point is closed.
 
 Node relaxations drop integrality and are convex, solved by the in-house
 active-set method.  Search order is best bound (ties FIFO), branching is on
-the most fractional binary (ties lexicographic by (segment, option)).  Every
-incumbent is rebuilt from an exact response evaluation, so reported
-objectives never inherit relaxation slack.  A node QP that stops at the
-iteration cap bounds nothing, so its node keeps the parent's bound and is
-branched; ``extras["iteration_limit_nodes"]`` counts such nodes, and
-``extras["tree"]`` holds a (parent bound, node bound) pair per solved node.
-A tree exhausted without an incumbent reports ``infeasible`` (bound ``-inf``).
+the most fractional indicator (ties lexicographic by (segment, option)).  A
+regularized indicator's value is the point of ``[y, 1 - s/M]`` nearest an
+integer, so its fractionality is ``min(y, s/M)``.  Every incumbent is
+rebuilt from an exact response evaluation, so reported objectives never
+inherit relaxation slack.  A node QP that stops at the iteration cap bounds
+nothing, so its node keeps the parent's bound and is branched;
+``extras["iteration_limit_nodes"]`` counts such nodes,
+``extras["iteration_limit_leaves"]`` counts integral leaves whose cell solve
+stopped at its cap (their incumbents are feasible, not certified cell
+optima), and ``extras["tree"]`` holds a (parent bound, node bound) pair per
+solved node.  A tree exhausted without an incumbent reports ``infeasible``
+(bound ``-inf``).
 """
 
 from __future__ import annotations
@@ -39,7 +53,11 @@ import numpy as np
 
 from .model import Instance, Pattern, ResponseMatrix
 from .model import profit as _profit
-from .price_complex import CellInfeasibleError, pure_assignment_lp, solve_cell
+# pure_assignment_lp and solve_cell are not called here; they stay importable
+# from this module because the benchmark tracer (bench/tracer.py) wraps them
+# by name
+from .price_complex import (CellInfeasibleError, _solve_cell,  # noqa: F401
+                            pure_assignment_lp, solve_cell)
 from .response import Beta, det_response_set, quad_response
 from .subqp import QpProblem, solve_qp
 
@@ -56,6 +74,10 @@ class BigM:
 
     M: np.ndarray
     M0: np.ndarray
+
+    def per_indicator(self) -> np.ndarray:
+        """The constants in indicator order: per segment, no purchase first."""
+        return np.column_stack([self.M0, self.M]).ravel()
 
 
 def _bigm(inst: Instance, headroom: np.ndarray | float) -> BigM:
@@ -120,8 +142,8 @@ class SolveReport:
 
 @dataclass
 class _Node:
-    fixed_lo: np.ndarray  # per-binary lower bounds (0/1)
-    fixed_hi: np.ndarray  # per-binary upper bounds (0/1)
+    fixed_lo: np.ndarray  # per-indicator lower bounds (0/1)
+    fixed_hi: np.ndarray  # per-indicator upper bounds (0/1)
     warm: np.ndarray | None
     parent_bound: float
 
@@ -143,32 +165,36 @@ class _Incumbent:
 @dataclass(frozen=True)
 class _Program:
     """Single-level big-M program ``min 1/2 v'Qv + c'v``, ``G v <= h``,
-    ``A v = b`` over ``v = [x (W*H), mu (S), ybar (S*(W+1)), z (S*(W+1))]``;
-    the det program has no ``z``.  ``bin_idx`` are the branching columns:
-    ``z``, or ``ybar`` for the det program."""
+    ``A v = b`` over ``v = [x (W*H), mu (S), ybar (S*(W+1))]``.  ``bin_idx``
+    are the ``ybar`` columns, one per indicator.  ``pin_rows`` (regularized
+    only) is an (S*(W+1), 2) array of row indices: negated, row ``[k, 0]``
+    reads ``y_k <= 0`` and row ``[k, 1]`` reads ``s_k <= 0``, which pin
+    indicator k at 0 or 1."""
 
     qp: QpProblem
     bin_idx: np.ndarray
     x_shape: tuple[int, int]
+    pin_rows: np.ndarray | None = None
 
 
 def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Program:
     """Build the det program (``bs`` None) or the regularized one.
 
     Rows: the price box, then per (s, w) in s-major order the lower row
-    ``V_sw - mu_s >= 0``, the upper row ``V_sw - mu_s + M_sw b_sw <= M_sw``
-    and, regularized only, ``-y_sw <= 0`` and ``y_sw - z_sw <= 0``, where
-    ``V_sw`` carries ``(2/beta_s) y_sw`` in the regularized program.  The
-    det relaxations are degenerate LPs whose active-set path follows
-    row-index ties, so this order is part of the solver's behaviour.
+    ``-s_sw <= 0``, the upper row ``s_sw + M_sw y_sw <= M_sw`` and,
+    regularized only, ``-y_sw <= 0``, where ``s_sw = V_sw - mu_s``, plus
+    ``(2/beta_s) y_sw`` in the regularized program.  The regularized upper
+    row is the projection of ``s <= M (1 - z)``, ``y <= z`` onto
+    ``(s, y)``; ``y <= 1`` and ``s <= M`` are implied.  The det relaxations
+    are degenerate LPs whose active-set path follows row-index ties, so this
+    order is part of the solver's behaviour.
     """
     S, W, H = inst.S, inst.W, inst.H
     nx, n_bin = W * H, S * (W + 1)
-    n = nx + S + (n_bin if bs is None else 2 * n_bin)
+    n = nx + S + n_bin
     k = np.arange(n_bin)
     s, w = np.divmod(k, W + 1)
     iy = nx + S + k
-    ib = iy if bs is None else iy + n_bin
     buy = w >= 1
     Ex = np.zeros((n_bin, W, H))
     Ex[k[buy], w[buy] - 1] = inst.E[s[buy], w[buy] - 1]
@@ -178,19 +204,17 @@ def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Pr
         gl[k, iy] = 2.0 / bs[s]
     gl[k, nx + s] = -1.0
     r = np.column_stack([np.zeros(S), inst.R]).ravel()
-    m = np.column_stack([mm.M0, mm.M]).ravel()
-    rows = 2 if bs is None else 4
+    m = mm.per_indicator()
+    rows = 2 if bs is None else 3
     Gs = np.zeros((n_bin, rows, n))
     hs = np.zeros((n_bin, rows))
     Gs[:, 0] = -gl
     hs[:, 0] = -r
     Gs[:, 1] = gl
-    Gs[k, 1, ib] = m
+    Gs[k, 1, iy] += m
     hs[:, 1] = m + r
     if bs is not None:
         Gs[k, 2, iy] = -1.0
-        Gs[k, 3, iy] = 1.0
-        Gs[k, 3, ib] = -1.0
     G_box, h_box = inst.polytope.rows()
     G_box = np.hstack([G_box, np.zeros((G_box.shape[0], n - nx))])
     A = np.zeros((S, n))
@@ -205,19 +229,34 @@ def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Pr
         Q = np.diag(qdiag)
     qp = QpProblem(Q=Q, c=c, G=np.vstack([G_box, Gs.reshape(-1, n)]),
                    h=np.concatenate([h_box, hs.ravel()]), A=A, b=np.ones(S))
-    return _Program(qp=qp, bin_idx=ib, x_shape=(W, H))
+    pin_rows = None
+    if bs is not None:
+        first = G_box.shape[0] + rows * k
+        pin_rows = np.column_stack([first + 2, first])
+    return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), pin_rows=pin_rows)
 
 
 def _node_problem(prog: _Program, lo: np.ndarray, hi: np.ndarray) -> QpProblem:
-    """The program with rows ``b_k <= hi_k`` and ``-b_k <= -lo_k`` appended
-    in pairs, one pair per binary."""
-    qp, m = prog.qp, prog.bin_idx.size
-    G = np.zeros((2 * m, qp.n))
-    G[2 * np.arange(m), prog.bin_idx] = 1.0
-    G[2 * np.arange(m) + 1, prog.bin_idx] = -1.0
-    h = np.zeros(2 * m)
-    h[0::2] = hi
-    h[1::2] = -lo  # integer negation: a free binary's row reads +0.0, not -0.0
+    """The program with the node's indicator rows appended.
+
+    Det: rows ``y_k <= hi_k`` and ``-y_k <= -lo_k`` in pairs, one pair per
+    indicator.  Regularized: one row per fixed indicator, in indicator
+    order, its pin row negated (``y_k <= 0`` at 0, ``s_k <= 0`` at 1); a
+    free indicator appends nothing.
+    """
+    qp = prog.qp
+    if prog.pin_rows is None:
+        m = prog.bin_idx.size
+        G = np.zeros((2 * m, qp.n))
+        G[2 * np.arange(m), prog.bin_idx] = 1.0
+        G[2 * np.arange(m) + 1, prog.bin_idx] = -1.0
+        h = np.zeros(2 * m)
+        h[0::2] = hi
+        h[1::2] = -lo  # integer negation: a free binary's row reads +0.0, not -0.0
+    else:
+        k = np.flatnonzero(lo == hi)
+        rows = prog.pin_rows[k, lo[k]]
+        G, h = -qp.G[rows], -qp.h[rows]
     return QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, G]),
                      h=np.concatenate([qp.h, h]), A=qp.A, b=qp.b)
 
@@ -231,20 +270,24 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
     S, W = inst.S, inst.W
     prog = _bigm_program(inst, bigm or bigm_det(inst))
 
+    def indicators(v, node):
+        return v[prog.bin_idx]
+
     def offer(x, incumbent):
         _, resp = det_response_set(inst, x)
         return incumbent.offer(_profit(inst, x, resp), x, resp, resp.support())
 
-    def leaf_value(z, node, incumbent):
-        combo = tuple(z[prog.bin_idx].reshape(S, W + 1).argmax(axis=1).tolist())
-        res = pure_assignment_lp(inst, combo, warm=z[:W * inst.H])
-        if res is None:
-            return
-        val, x = res
-        resp = ResponseMatrix(np.eye(W + 1)[list(combo)])
+    def leaf_value(v, zb, incumbent):
+        # the limit cell of the one-hot pattern (``pure_assignment_lp``)
+        resp = ResponseMatrix(np.eye(W + 1)[zb.reshape(S, W + 1).argmax(axis=1)])
+        try:
+            x, val, capped = _solve_cell(inst, resp.support(), None, warm=v[:W * inst.H])
+        except CellInfeasibleError:
+            return False
         incumbent.offer(val, x, resp, resp.support())
+        return capped
 
-    return _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0,
+    return _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
                              *_parse_fixed(None, S, W))
 
 
@@ -290,10 +333,18 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
     S, W = inst.S, inst.W
     bet = Beta.coerce(beta)
     bs = bet.per_segment(S)
-    prog = _bigm_program(inst, bigm or bigm_quad(inst, bet), bs)
+    mm = bigm or bigm_quad(inst, bet)
+    prog = _bigm_program(inst, mm, bs)
     fix_lo, fix_hi = _parse_fixed(fixed_z, S, W)
     pinned_in = fix_lo.reshape(S, W + 1) == 1
     pinned_out = fix_hi.reshape(S, W + 1) == 0
+    lower = prog.pin_rows[:, 1]  # -s <= 0, so s is the row's slack
+    G_low, h_low, m = prog.qp.G[lower], prog.qp.h[lower], mm.per_indicator()
+
+    def indicators(v, node):
+        # z may lie anywhere in [y, 1 - s/M]: take the point nearest an integer
+        y, s_m = v[prog.bin_idx], (h_low - G_low @ v) / m
+        return np.clip(np.where(y <= s_m, y, 1.0 - s_m), node.fixed_lo, node.fixed_hi)
 
     def offer(x, incumbent):
         resp, detail = quad_response(inst, x, bet)
@@ -308,24 +359,23 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
         val = _profit(inst, x, resp)
         return incumbent.offer(val, x, resp, resp.support())
 
-    def leaf_value(z, node, incumbent):
-        zv = np.round(z[prog.bin_idx]).astype(np.int8).reshape(S, W + 1)
-        zv = np.maximum(zv, node.fixed_lo.reshape(S, W + 1))
-        zv = np.minimum(zv, node.fixed_hi.reshape(S, W + 1))
+    def leaf_value(v, zb, incumbent):
+        zv = np.round(zb).astype(np.int8).reshape(S, W + 1)
         if np.any(zv.sum(axis=1) == 0):
-            return
+            return False
         try:
-            x, _ = solve_cell(inst, Pattern(zv), bet, warm=z[:W * inst.H])
+            x, _, capped = _solve_cell(inst, Pattern(zv), bet, warm=v[:W * inst.H])
         except CellInfeasibleError:
-            return
+            return False
         offer(x, incumbent)
+        return capped
 
-    return _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0,
+    return _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
                              fix_lo, fix_hi, warm_incumbent)
 
 
 def _parse_fixed(fixed_z, S, W):
-    """Per-binary bounds (lo, hi) from an (S, W+1) array of -1 (free), 0, 1."""
+    """Per-indicator bounds (lo, hi) from an (S, W+1) array of -1 (free), 0, 1."""
     if fixed_z is None:
         return np.zeros(S * (W + 1), dtype=np.int8), np.ones(S * (W + 1), dtype=np.int8)
     z = np.asarray(fixed_z)
@@ -337,12 +387,13 @@ def _parse_fixed(fixed_z, S, W):
     return (z == 1).astype(np.int8), (z != 0).astype(np.int8)
 
 
-def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix_hi,
-                      warm_incumbent=None):
-    """Best-bound search over ``prog``'s binaries.  ``offer(x, incumbent)``
-    evaluates prices exactly and offers them to the incumbent;
-    ``leaf_value(z, node, incumbent)`` handles integral node points."""
-    bin_idx = prog.bin_idx
+def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
+                      fix_lo, fix_hi, warm_incumbent=None):
+    """Best-bound search over ``prog``'s indicators.  ``indicators(v, node)``
+    gives each indicator's value at the node point ``v``;
+    ``offer(x, incumbent)`` evaluates prices exactly and offers them to the
+    incumbent; ``leaf_value(v, zb, incumbent)`` closes an integral node
+    point and says whether its cell solve stopped at the iteration cap."""
     nx = prog.x_shape[0] * prog.x_shape[1]
     incumbent = _Incumbent()
     if warm_incumbent is not None:
@@ -357,7 +408,7 @@ def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix
     tree_pairs: list[tuple[float, float]] = []  # (parent bound, node bound)
     status = "optimal"
     final_bound = None
-    capped_nodes = 0
+    capped_nodes = capped_leaves = 0
 
     def out_of_budget():
         if time.perf_counter() - t0 > opts.time_limit_s:
@@ -401,16 +452,16 @@ def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix
             continue
 
         offer(sol.z[:nx].reshape(prog.x_shape), incumbent)
-        zb = sol.z[bin_idx]
+        zb = indicators(sol.z, node)
         frac = np.minimum(zb - np.floor(zb + _INT_TOL), np.ceil(zb - _INT_TOL) - zb)
         free = node.fixed_lo != node.fixed_hi
         frac = np.where(free, np.maximum(frac, 0.0), 0.0)
         if capped and free.any() and float(frac.max()) <= _INT_TOL:
             # an integral capped point does not close the node: split the first
-            # free binary (with none free, leaf_value solves the pinned pattern)
+            # free indicator (with none free, leaf_value solves the pinned pattern)
             frac = free.astype(float)
         if float(frac.max(initial=0.0)) <= _INT_TOL:
-            leaf_value(sol.z, node, incumbent)
+            capped_leaves += leaf_value(sol.z, zb, incumbent)
             kind = "leaf"
         else:
             j = int(np.argmax(frac))  # first max = lexicographic (s, w) tie-break
@@ -447,7 +498,8 @@ def _branch_and_bound(prog, opts, gap_target, offer, leaf_value, t0, fix_lo, fix
         node_count=node_count,
         wall_time_s=time.perf_counter() - t0,
         trace=trace,
-        extras={"iteration_limit_nodes": capped_nodes, "tree": tree_pairs},
+        extras={"iteration_limit_nodes": capped_nodes,
+                "iteration_limit_leaves": capped_leaves, "tree": tree_pairs},
     )
     log.info("done status=%s objective=%.9g bound=%.9g nodes=%d",
              status, report.objective, report.bound, node_count)

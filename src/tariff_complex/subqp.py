@@ -38,6 +38,7 @@ Everything is deterministic: identical inputs give identical iterates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,7 @@ from .model import EPS_FEAS, EPS_KKT
 
 _RIDGE = 1e-12
 _STALL_LIMIT = 25
+_EPS = np.finfo(float).eps
 
 
 def project_simplex(p: np.ndarray) -> np.ndarray:
@@ -150,7 +152,7 @@ def _nullspace(C: np.ndarray, n: int) -> np.ndarray:
     if C.shape[0] == 0:
         return np.eye(n)
     _, s, Vt = np.linalg.svd(C, full_matrices=True)
-    tol = max(C.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    tol = max(C.shape) * _EPS * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
     return Vt[rank:].T
 
@@ -176,8 +178,8 @@ def _independent_subset(G: np.ndarray, cand: np.ndarray, cap: int) -> list[int]:
         B = basis[: len(keep)]
         for _ in range(2):
             r = r - B.T @ (B @ r)
-        r_norm = float(np.linalg.norm(r))
-        tol = max(len(keep) + 1, n) * np.finfo(float).eps * np.sqrt(kept_sq + r_sq)
+        r_norm = math.sqrt(r @ r)
+        tol = max(len(keep) + 1, n) * _EPS * np.sqrt(kept_sq + r_sq)
         if r_norm > tol:
             basis[len(keep)] = r / r_norm
             keep.append(int(k))
@@ -209,7 +211,7 @@ def _join_working_set(Qf: np.ndarray, work: list[int], G: np.ndarray, i: int) ->
     k = len(work)
     Z = Qf[:, k:]
     v = Z.T @ G[i]
-    alpha = -np.copysign(np.linalg.norm(v), v[0])
+    alpha = -np.copysign(math.sqrt(v @ v), v[0])
     v[0] -= alpha
     Qf[:, k:] = Z - np.outer(Z @ v, v * (2.0 / (v @ v)))
     work.append(i)
@@ -228,14 +230,15 @@ def _in_span(row: np.ndarray, Y: np.ndarray, Z: np.ndarray, R: np.ndarray | None
     need coefficients near 1e8, so it is taken as independent without the
     solve with R.  ``R`` None (after an insertion) is formed from Y and C.
     """
-    resid = float(np.linalg.norm(Z.T @ row))
+    zr = Z.T @ row
+    resid = math.sqrt(zr @ zr)
     if resid > 1e-8:
         return False
     if R is None:
         R = Y.T @ C.T
     k, n = R.shape[0], row.size
     coef = np.linalg.solve(R, Y.T @ row)
-    tol = max(k + 1, n) * np.finfo(float).eps * np.sqrt(np.sum(R * R) + row @ row)
+    tol = max(k + 1, n) * _EPS * np.sqrt(np.sum(R * R) + row @ row)
     return resid <= tol * np.sqrt(1.0 + coef @ coef)
 
 

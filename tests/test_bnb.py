@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tariff_complex import (
     Beta,
@@ -12,6 +14,7 @@ from tariff_complex import (
     GeneratorConfig,
     Instance,
     PricePolytope,
+    QspcOptions,
     SolverOptions,
     bigm_det,
     bigm_piece_value,
@@ -21,11 +24,12 @@ from tariff_complex import (
     quad_oracle,
     quad_profit,
     quad_response,
+    qspc,
     solve_cell,
     solve_det,
     solve_quad,
 )
-from tariff_complex import bnb, subqp
+from tariff_complex import bnb, price_complex, subqp
 from conftest import line_instance, make_instance, tie_instance
 
 
@@ -293,7 +297,7 @@ def test_generated_five_segment_nodes_stop_without_cap_or_ridge(monkeypatch):
     inst = generate(GeneratorConfig(S=5, n_company_contracts=2, seed=0))
     sols = _record_node_qps(monkeypatch)
     rep = solve_quad(inst, 0.05, SolverOptions(node_limit=10))
-    assert rep.node_count == len(sols) == 10
+    assert rep.node_count == len(sols) == 7
     assert all(sol.status != "iteration_limit" for sol in sols)
     assert not any(sol.ridge_applied for sol in sols)
     assert sum(sol.n_iterations for sol in sols) < 2000
@@ -313,6 +317,44 @@ def test_iteration_capped_integral_point_is_split_not_closed(monkeypatch):
     assert rep.node_count >= 3
     assert rep.objective == pytest.approx(ref.objective, abs=1e-9)
     assert rep.bound >= rep.objective
+
+
+def test_iteration_capped_leaf_cells_are_counted(monkeypatch):
+    # a leaf's cell solve that stops at its cap gives a feasible incumbent,
+    # not a certified cell optimum, so both models count such leaves
+    inst = make_instance(np.random.default_rng(52), S=2, W=1, H=2)
+
+    def solve_both():
+        return [solve_det(inst), solve_quad(inst, 1.0)]
+
+    ref = solve_both()
+    assert [rep.extras["iteration_limit_leaves"] for rep in ref] == [0, 0]
+    real = price_complex.solve_qp
+
+    def capped(prob, **kw):
+        sol = real(prob, **kw)
+        if sol.status == "optimal":
+            return dataclasses.replace(sol, status="iteration_limit")
+        return sol
+
+    monkeypatch.setattr(price_complex, "solve_qp", capped)
+    for rep, want in zip(solve_both(), ref):
+        assert [row["kind"] for row in rep.trace] == ["branch", "leaf"]
+        assert rep.extras["iteration_limit_leaves"] == 1
+        assert rep.extras["iteration_limit_nodes"] == 0
+        assert rep.status == want.status and rep.objective == want.objective
+
+
+@settings(max_examples=8, deadline=None)
+@given(S=st.integers(2, 3), beta=st.sampled_from([0.05, 0.5]),
+       seed=st.integers(0, 2**31 - 1))
+def test_quad_bound_dominates_oracle_and_heuristic(S, beta, seed):
+    # a reported bound must bound the optimum, and so every feasible answer
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=2, seed=seed))
+    rep = solve_quad(inst, beta, SolverOptions(gap=1e-6))
+    tol = 1e-6 * max(1.0, abs(rep.bound))
+    assert quad_oracle(inst, beta).value <= rep.bound + tol
+    assert qspc(inst, beta, opts=QspcOptions(rng_seed=seed)).objective <= rep.bound + tol
 
 
 @pytest.mark.parametrize("S,W", [(5, 2), (8, 3)])
@@ -375,9 +417,10 @@ def _loop_bigm(inst, bs=None):
     return BigM(M=theta_hi - inst.R + M0[:, None], M0=M0)
 
 
-def _loop_program(inst, mm, bs=None):
+def _full_program(inst, mm, bs=None):
     """Reference: the per-(s, w) loop assembly of the det program (``bs``
-    None) and the regularized one.  Returns G, h, A, b, c, Q, bin_idx."""
+    None) and the full regularized one, with the paper's activation columns
+    ``z`` and rows ``y <= z``.  Returns G, h, A, b, c, Q, bin_idx (``z``)."""
     S, W, H = inst.S, inst.W, inst.H
     nx, n_bin = W * H, S * (W + 1)
     n = nx + S + (n_bin if bs is None else 2 * n_bin)
@@ -428,6 +471,61 @@ def _loop_program(inst, mm, bs=None):
             np.diag(qdiag), bin_idx)
 
 
+def _zfree_program(inst, mm, bs):
+    """Reference: the per-(s, w) loop assembly of the regularized program
+    without ``z``.  Returns G, h, A, b, c, Q, bin_idx (``y``) and, per
+    indicator, the rows ``y <= 0`` and ``s <= 0`` that pin it at 0 and 1."""
+    S, W, H = inst.S, inst.W, inst.H
+    nx = W * H
+    n = nx + S + S * (W + 1)
+
+    def iy(s, w):
+        return nx + S + s * (W + 1) + w
+
+    G_box, h_box = inst.polytope.rows()
+    Gb = np.zeros((G_box.shape[0], n))
+    Gb[:, :nx] = G_box
+    rows_G, rows_h, pins = [Gb], [h_box], []
+    for s in range(S):
+        for w in range(W + 1):
+            gl = np.zeros(n)  # s_sw = gl . v - r
+            if w >= 1:
+                gl[(w - 1) * H: w * H] = inst.E[s, w - 1]
+            gl[iy(s, w)] = 2.0 / bs[s]
+            gl[nx + s] = -1.0
+            r = float(inst.R[s, w - 1]) if w >= 1 else 0.0
+            m = float(mm.M[s, w - 1]) if w >= 1 else float(mm.M0[s])
+            gu = gl.copy()
+            gu[iy(s, w)] += m  # s + M y <= M
+            gy = np.zeros(n)
+            gy[iy(s, w)] = -1.0
+            rows_G += [-gl[None, :], gu[None, :], gy[None, :]]
+            rows_h += [np.array([-r]), np.array([m + r]), np.array([0.0])]
+            pins.append(((-gy, 0.0), (gl, r)))
+    A = np.zeros((S, n))
+    c = np.zeros(n)
+    qdiag = np.zeros(n)
+    c[nx: nx + S] = -inst.rho
+    for s in range(S):
+        A[s, iy(s, 0): iy(s, W) + 1] = 1.0
+        c[iy(s, 1): iy(s, W) + 1] = -inst.rho[s] * (inst.R[s] - inst.C[s])
+        qdiag[iy(s, 0): iy(s, W) + 1] = 4.0 * inst.rho[s] / bs[s]
+    bin_idx = np.array([iy(s, w) for s in range(S) for w in range(W + 1)])
+    return (np.vstack(rows_G), np.concatenate(rows_h), A, np.ones(S), c,
+            np.diag(qdiag), bin_idx, pins)
+
+
+def _loop_pin_rows(pins, n, lo, hi):
+    """Reference: per fixed indicator, in indicator order, its pin row."""
+    G, h = [np.zeros((0, n))], [np.zeros(0)]
+    for k, (row0, row1) in enumerate(pins):
+        if lo[k] == hi[k]:
+            row, rhs = row1 if lo[k] == 1 else row0
+            G.append(row[None, :])
+            h.append(np.array([rhs]))
+    return np.vstack(G), np.concatenate(h)
+
+
 def _loop_bound_rows(bin_idx, n, lo, hi):
     G = np.zeros((2 * bin_idx.size, n))
     h = np.zeros(2 * bin_idx.size)
@@ -444,11 +542,14 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("S,W,g", [(3, 2, 0), (5, 2, 1), (8, 3, 18), (10, 4, 0), (6, 3, 1)])
+_PROGRAM_CASES = [(3, 2, 0), (5, 2, 1), (8, 3, 18), (10, 4, 0), (6, 3, 1)]
+
+
+@pytest.mark.parametrize("S,W,g", _PROGRAM_CASES)
 def test_bigm_program_matches_loop_reference(S, W, g):
     # the det relaxations are degenerate LPs whose active-set path follows
     # row-index ties, so rows, columns and every float must match, sign of
-    # zero included
+    # zero included; the appended regularized pin rows are compared by value
     inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=g))
     rng = np.random.default_rng(g)
     betas = (None, Beta(0.05), Beta(0.05, scales=rng.uniform(0.2, 5.0, size=S)))
@@ -458,18 +559,56 @@ def test_bigm_program_matches_loop_reference(S, W, g):
         ref_mm = _loop_bigm(inst, bs)
         assert _same_bytes(mm.M, ref_mm.M) and _same_bytes(mm.M0, ref_mm.M0)
         prog = bnb._bigm_program(inst, mm, bs)
-        G, h, A, b, c, Q, bin_idx = _loop_program(inst, mm, bs)
+        if beta is None:
+            G, h, A, b, c, Q, bin_idx = _full_program(inst, mm, bs)
+        else:
+            G, h, A, b, c, Q, bin_idx, pins = _zfree_program(inst, mm, bs)
         assert _same_bytes(prog.bin_idx, bin_idx)
         for _ in range(3):
             state = rng.integers(-1, 2, size=bin_idx.size)  # -1 free, else fixed
             lo = np.where(state == -1, 0, state).astype(np.int8)
             hi = np.where(state == -1, 1, state).astype(np.int8)
             node = bnb._node_problem(prog, lo, hi)
-            G_bnd, h_bnd = _loop_bound_rows(bin_idx, c.size, lo, hi)
-            assert _same_bytes(node.G, np.vstack([G, G_bnd]))
-            assert _same_bytes(node.h, np.concatenate([h, h_bnd]))
+            if beta is None:
+                G_bnd, h_bnd = _loop_bound_rows(bin_idx, c.size, lo, hi)
+                assert _same_bytes(node.G, np.vstack([G, G_bnd]))
+                assert _same_bytes(node.h, np.concatenate([h, h_bnd]))
+            else:
+                G_pin, h_pin = _loop_pin_rows(pins, c.size, lo, hi)
+                assert _same_bytes(node.G[:len(h)], G) and _same_bytes(node.h[:len(h)], h)
+                assert np.array_equal(node.G[len(h):], G_pin)
+                assert np.array_equal(node.h[len(h):], h_pin)
             for got, want in ((node.A, A), (node.b, b), (node.c, c), (node.Q, Q)):
                 assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("S,W,g", _PROGRAM_CASES)
+def test_zfree_node_qp_is_the_exact_projection(S, W, g):
+    # the hull of {y s = 0, 0 <= y <= 1, 0 <= s <= M} is y + s/M <= 1, so
+    # dropping z changes no node value: fixing z at 0 gives y <= 0, at 1
+    # gives s <= 0, and a free z leaves y <= z <= 1 - s/M
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=g))
+    rng = np.random.default_rng(1000 + g)
+    bs = Beta(0.05).per_segment(S)
+    mm = bigm_quad(inst, 0.05)
+    prog = bnb._bigm_program(inst, mm, bs)
+    G, h, A, b, c, Q, bin_idx = _full_program(inst, mm, bs)
+    n_opt = 0
+    for p_fix in (0.0, 0.1, 0.1, 0.25, 0.25):
+        state = np.where(rng.uniform(size=bin_idx.size) < p_fix,
+                         rng.integers(0, 2, size=bin_idx.size), -1)
+        lo = np.where(state == -1, 0, state).astype(np.int8)
+        hi = np.where(state == -1, 1, state).astype(np.int8)
+        G_bnd, h_bnd = _loop_bound_rows(bin_idx, c.size, lo, hi)
+        full = subqp.solve_qp(subqp.QpProblem(Q=Q, c=c, G=np.vstack([G, G_bnd]),
+                                              h=np.concatenate([h, h_bnd]), A=A, b=b))
+        zfree = subqp.solve_qp(bnb._node_problem(prog, lo, hi))
+        assert zfree.status == full.status
+        assert full.status in ("optimal", "infeasible")
+        if full.status == "optimal":
+            n_opt += 1
+            assert abs(zfree.value - full.value) <= 1e-9 * max(1.0, abs(full.value))
+    assert n_opt >= 3
 
 
 def test_solve_quad_logs_progress(caplog):
