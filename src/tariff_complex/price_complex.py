@@ -250,15 +250,20 @@ def neighbors(inst: Instance, pattern: Pattern,
     segment ``seg[k]``.  Segments come in order, each with at most two flips:
     first the active option with the largest disutility is dropped (unless
     it is the only one), then the inactive option with the smallest
-    disutility is added (unless all are active).  Disutility ties resolve to
-    the lowest option index.
+    disutility is added (unless all are active).  Values within
+    ``1e-9 * max(1, max_w |V_sw|)`` of the row's extreme count as tied, and
+    ties resolve to the lowest option index: cell optima sit on faces where
+    disutilities tie up to roundoff, and the flips must not depend on it.
     """
     _check_pattern(inst, pattern)
     V = inst.disutilities(x)
     A = pattern.A.astype(bool)
     a = A.sum(axis=1)
-    worst = np.where(A, V, -np.inf).argmax(axis=1)
-    best = np.where(A, np.inf, V).argmin(axis=1)
+    tol = 1e-9 * np.maximum(1.0, np.abs(V).max(axis=1, keepdims=True))
+    Vd = np.where(A, V, -np.inf)
+    Va = np.where(A, np.inf, V)
+    worst = (Vd >= Vd.max(axis=1, keepdims=True) - tol).argmax(axis=1)
+    best = (Va <= Va.min(axis=1, keepdims=True) + tol).argmax(axis=1)
     seg, k = np.nonzero(np.column_stack([a >= 2, a <= inst.W]))  # k: 0 drop, 1 add
     return seg, np.column_stack([worst, best])[seg, k]
 

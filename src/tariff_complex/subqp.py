@@ -18,10 +18,14 @@ space for the step, and the leading block with R gives the multipliers
 (Nocedal & Wright, *Numerical Optimization*, ch. 16).  A row that joins the
 working set updates that factor in place by one Householder reflector on its
 null-space block (Gill, Golub, Murray & Saunders, Math. Comp. 1974), and R
-is formed from the leading block only when the multipliers need it; a row
-that leaves (or drifts off its bound) triggers a fresh QR, so at most n
-updates build up.  Rows in the working set's span never join it, so the
-working rows stay independent and the unpivoted QR needs no rank decision:
+is formed from the leading block only when the multipliers need it.  A row
+that leaves (a negative multiplier, or a row that drifted off its bound) is
+removed by one reflector on the leading block, which turns the direction
+orthogonal to the other working rows into the last leading column, and
+that column joins the null space.  The factor is computed afresh once per
+solve and again after n in-place updates, which bounds their drift.  Rows
+in the working set's span never join it, so the working rows stay
+independent and the unpivoted QR needs no rank decision:
 the ratio test considers only rows whose rate along the step exceeds
 ``1e-13 * max(1, |p|_inf)`` (a spanned row's rate is roundoff of order
 eps * |p|), and a blocking row that a ``matrix_rank``-style test finds in the
@@ -218,9 +222,34 @@ def _join_working_set(Qf: np.ndarray, work: list[int], G: np.ndarray, i: int) ->
     work.sort()
 
 
+def _leave_working_set(Qf: np.ndarray, work: list[int], R: np.ndarray, j: int) -> np.ndarray:
+    """Row work[j] leaves the working set: update Qf in place, pop j from work.
+
+    With C' = Y R, the solution u of R' u = e_j makes Y u orthogonal to every
+    other working row (its product with row i is u' R e_i) but not to row j.
+    One Householder reflector H on the range block Y = Qf[:, :k] maps u to a
+    multiple of its last unit vector, so the last column of Y H lies along
+    Y u and joins the null space, while the columns before it span the
+    remaining rows, in O(n k).  Returns their R: H R without its last row
+    (zero off column j) and column j.
+    """
+    k = len(work)
+    Y = Qf[:, :k]
+    e = np.zeros(k)
+    e[j] = 1.0
+    v = np.linalg.solve(R.T, e)
+    alpha = -np.copysign(math.sqrt(v @ v), v[-1])
+    v[-1] -= alpha
+    w = v * (2.0 / (v @ v))
+    Qf[:, :k] = Y - np.outer(Y @ v, w)
+    work.pop(j)
+    return np.delete((R - np.outer(v, w @ R))[:-1], j, axis=1)
+
+
 def _in_span(row: np.ndarray, Y: np.ndarray, Z: np.ndarray, R: np.ndarray | None,
-             C: np.ndarray) -> bool:
-    """Whether the unit row lies in the span of the working rows C' = Y R.
+             G: np.ndarray, work: list[int]) -> bool:
+    """Whether the unit row lies in the span of the working rows C' = Y R,
+    C = G[work].
 
     The residual ``|Z' row|`` divided by the norm of ``(R^-1 Y' row, -1)``
     bounds the smallest singular value of C with row appended; the row is
@@ -235,7 +264,7 @@ def _in_span(row: np.ndarray, Y: np.ndarray, Z: np.ndarray, R: np.ndarray | None
     if resid > 1e-8:
         return False
     if R is None:
-        R = Y.T @ C.T
+        R = Y.T @ G[work].T
     k, n = R.shape[0], row.size
     coef = np.linalg.solve(R, Y.T @ row)
     tol = max(k + 1, n) * _EPS * np.sqrt(np.sum(R * R) + row @ row)
@@ -297,14 +326,17 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
     # so the next iteration goes straight to the multipliers
     full_step = False
     # complete orthogonal factor of the working rows, updated in place when a
-    # row joins and refactorized (Qf None) after a removal; R, with C' = Y R,
-    # is None after an insertion until the multipliers need it
+    # row joins or leaves and refactorized after n such updates, which bounds
+    # the drift; R, with C' = Y R, is None after an insertion until the
+    # multipliers or a removal need it
     Qf = R = None
+    updates = 0
     while it < max_iter:
         it += 1
-        g = Q @ x + c
-        if Qf is None:
+        g = Q @ x + c if qscale > 0.0 else c
+        if Qf is None or updates >= n:
             Qf, R = _factor_working_set(G[work])
+            updates = 0
         k = len(work)
         Y, Z = Qf[:, :k], Qf[:, k:]
         if not full_step:
@@ -315,30 +347,23 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
             full_step = False
             if not work:
                 return x, "optimal", work, np.zeros(0), it, None
-            slack_w = h[work] - G[work] @ x
-            stale = [i for i, sv in enumerate(slack_w) if sv > 1e-7]
-            if stale:
-                # a row drifted out of tightness; its manifold is fiction
-                for i in reversed(stale):
-                    work.pop(i)
-                Qf = None
-                stall += 1
-                if stall > _STALL_LIMIT:
-                    bland = True
-                continue
+            Gw = G[work]
             if R is None:
-                R = Y.T @ G[work].T
-            lam = np.linalg.solve(R, -(Y.T @ g))
-            mult_tol = 1e-10 * max(1.0, float(np.abs(g).max(initial=0.0)))
-            neg = [i for i, lv in enumerate(lam) if lv < -mult_tol]
-            if not neg:
-                return x, "optimal", work, lam, it, None
-            if bland:
-                drop = min(neg, key=lambda i: work[i])
-            else:
-                drop = min(neg, key=lambda i: (lam[i], work[i]))
-            work.pop(drop)
-            Qf = None
+                R = Y.T @ Gw.T
+            # rows that drifted out of tightness leave, last position first:
+            # their manifold is fiction; otherwise the most negative
+            # multiplier's row leaves (lowest index on ties, the lowest index
+            # among negative ones under Bland's rule)
+            leave = np.flatnonzero(h[work] - Gw @ x > 1e-7)[::-1]
+            if not leave.size:
+                lam = np.linalg.solve(R, -(Y.T @ g))
+                neg = np.flatnonzero(lam < -1e-10 * max(1.0, float(np.abs(g).max(initial=0.0))))
+                if not neg.size:
+                    return x, "optimal", work, lam, it, None
+                leave = neg[:1] if bland else [int(np.argmin(lam))]
+            for j in leave:
+                R = _leave_working_set(Qf, work, R, int(j))
+            updates += len(leave)
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
@@ -362,7 +387,7 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
             margin = slack[cand] - a_block * d[cand]
             tight = cand[margin <= 1e-9 + 1e-12 * np.abs(a_block * d[cand])]
             blocker = int(tight.min())
-            if a_block > alpha_target or not _in_span(G[blocker], Y, Z, R, G[work]):
+            if a_block > alpha_target or not _in_span(G[blocker], Y, Z, R, G, work):
                 break
             # spanned with large coefficients, its rate is amplified roundoff
             cand = cand[cand != blocker]
@@ -374,6 +399,7 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
         if blocker is not None and a_block <= alpha_target:
             _join_working_set(Qf, work, G, blocker)
             R = None
+            updates += 1
         else:
             full_step = True
         if alpha <= 1e-13:

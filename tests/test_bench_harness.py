@@ -1,0 +1,33 @@
+"""The benchmark's tracer still fits the package.
+
+``bench/tracer.py`` wraps package functions by module-global name, unpacks
+the active-set core's result when phase 1 calls it, and reads ``QpSolution``
+fields, so a rename or a changed return value in ``src/`` makes
+``bench/run.py`` exit non-zero.  One small solve of each solver under the
+tracer catches that here.
+"""
+
+import importlib
+from pathlib import Path
+
+import tariff_complex as tc
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_tracer_wraps_every_hook_and_counts_phase_one(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    det_inst = tc.generate(tc.GeneratorConfig(S=3, n_company_contracts=2, seed=0))
+    quad_inst = tc.generate(tc.GeneratorConfig(S=5, n_company_contracts=2, seed=0))
+    with tracer.Tracer() as tr:
+        tc.solve_quad(det_inst, 0.05, tc.SolverOptions(node_limit=5))
+        tc.solve_det(det_inst, tc.SolverOptions(node_limit=5))
+        tc.qspc(quad_inst, 0.05, opts=tc.QspcOptions(rng_seed=0))
+    layers = tr.layers()
+    for span in ("bnb.solve_quad", "bnb.solve_det", "qspc.qspc",
+                 "subqp.solve_qp.bnb", "subqp.solve_qp.price_complex"):
+        assert layers[span]["calls"] > 0, span
+    assert tr.counts["subqp.solve_qp.bnb.phase1_iters"] > 0
+    assert tr.counts["subqp.solve_qp.price_complex.phase1_iters"] > 0
+    assert tr.counts["subqp.solve_qp.bnb.iters"] > 0

@@ -383,10 +383,11 @@ def test_generated_det_working_sets_are_independent(monkeypatch):
     # a bound row that big-M rows span with coefficients ~5e3 once joined a
     # 40-row working set: its rate along a unit ray was roundoff (2.5e-13),
     # above the step-relative threshold, and left R singular
-    # working sets are refactorized after a removal and reached by an
-    # in-place update when a row joins; both are checked
+    # working sets are factorized afresh, or reached by an in-place update
+    # when a row joins or leaves; all three are checked
     real = subqp._factor_working_set
     real_join = subqp._join_working_set
+    real_leave = subqp._leave_working_set
     sizes = []
 
     def checked(C):
@@ -399,8 +400,15 @@ def test_generated_det_working_sets_are_independent(monkeypatch):
         assert np.linalg.matrix_rank(G[work]) == len(work)
         sizes.append(len(work))
 
+    def checked_leave(Qf, work, R, j):
+        R = real_leave(Qf, work, R, j)
+        assert np.linalg.matrix_rank(R) == len(work)  # C' = Y R, Y orthonormal
+        sizes.append(len(work))
+        return R
+
     monkeypatch.setattr(subqp, "_factor_working_set", checked)
     monkeypatch.setattr(subqp, "_join_working_set", checked_join)
+    monkeypatch.setattr(subqp, "_leave_working_set", checked_leave)
     inst = generate(GeneratorConfig(S=8, n_company_contracts=3, seed=18))
     rep = solve_det(inst, SolverOptions(node_limit=30))
     assert max(sizes) >= 40

@@ -257,6 +257,30 @@ def test_neighbors_tie_break_lowest_index():
         assert dropped == int(np.argmax(V[s]))  # first index on exact ties
 
 
+def test_neighbors_treat_near_ties_as_exact_ties():
+    # contract 3 copies contract 1 and is priced like it: an exact tie in
+    # every segment, then a tie off by 1e-13 of the row scale either way
+    inst = make_instance(np.random.default_rng(21), S=6, W=3, H=2)
+    E, R = inst.E.copy(), inst.R.copy()
+    E[:, 2], R[:, 2] = E[:, 0], R[:, 0]
+    x = inst.polytope.midpoint()
+    x[2] = x[0]
+    exact = dataclasses.replace(inst, E=E, R=R)
+    V = exact.disutilities(x)
+    assert np.array_equal(V[:, 1], V[:, 3])
+    shift = np.zeros_like(R)
+    shift[:, 2] = 1e-13 * np.maximum(1.0, np.abs(V).max(axis=1))
+    n_decided = 0
+    for mask in (np.arange(1, 16)[:, None] >> np.arange(4)) & 1:
+        pat = Pattern(np.tile(mask, (inst.S, 1)).astype(np.int8))
+        seg, opt = neighbors(exact, pat, x)
+        for sign in (1.0, -1.0):
+            seg_n, opt_n = neighbors(dataclasses.replace(inst, E=E, R=R + sign * shift), pat, x)
+            assert seg_n.tolist() == seg.tolist() and opt_n.tolist() == opt.tolist()
+        n_decided += int(np.sum(opt == 1)) if mask[1] == mask[3] else 0
+    assert n_decided > 0  # the planted tie was a row extreme, and option 1 won it
+
+
 def test_oracle_pattern_cap():
     rng = np.random.default_rng(83)
     inst = make_instance(rng, S=3, W=2, H=1)
@@ -518,17 +542,21 @@ def test_limit_cell_qp_needs_a_pure_pattern():
 
 
 def _loop_neighbors(inst, pattern, x):
-    """Reference: the per-segment minus/plus loop the flip arrays replaced.
-    Returns the neighbor patterns in scan order."""
+    """Reference: the per-segment minus/plus loop the flip arrays replaced,
+    taking the first option within 1e-9 * max(1, max_w |V_sw|) of the
+    extreme.  Returns the neighbor patterns in scan order."""
     V = inst.disutilities(x)
     out = []
     for s in range(inst.S):
+        tol = 1e-9 * max(1.0, float(np.abs(V[s]).max()))
         act = np.flatnonzero(pattern.A[s] == 1)
         off = np.flatnonzero(pattern.A[s] == 0)
         if act.size >= 2:  # minus: drop the worst active option
-            out.append(pattern.flip(s, int(act[np.argmax(V[s, act])])))
+            worst = V[s, act].max()
+            out.append(pattern.flip(s, int(next(w for w in act if V[s, w] >= worst - tol))))
         if off.size:  # plus: add the best inactive option
-            out.append(pattern.flip(s, int(off[np.argmin(V[s, off])])))
+            best = V[s, off].min()
+            out.append(pattern.flip(s, int(next(w for w in off if V[s, w] <= best + tol))))
     return out
 
 
@@ -556,14 +584,20 @@ def test_flip_arrays_match_loop_reference():
              for x in (inst.polytope.midpoint(),
                        rng.uniform(inst.polytope.lower, inst.polytope.upper))]
     cases += list(_tie_cases(rng))
-    n_tied = 0
+    n_tied = n_near = 0
     for inst, x in cases:
         V = inst.disutilities(x)
+        tol = 1e-9 * np.maximum(1.0, np.abs(V).max(axis=1))
         for pat in _random_patterns(rng, inst.S, inst.W, 6):
             seg, opt = neighbors(inst, pat, x)
             assert seg.dtype.kind == opt.dtype.kind == "i"
             flips = list(zip(seg.tolist(), opt.tolist()))
             assert [pat.flip(s, w) for s, w in flips] == _loop_neighbors(inst, pat, x)
-            n_tied += sum(int(np.sum((V[s] == V[s, w]) & (pat.A[s] == pat.A[s, w]))) > 1
-                          for s, w in flips)
-    assert n_tied > 0  # the tie rule was exercised
+            for s, w in flips:
+                same = pat.A[s] == pat.A[s, w]
+                gap = np.abs(V[s] - V[s, w])
+                n_tied += int(np.sum(same & (gap == 0.0))) > 1
+                n_near += bool(np.any(same & (gap > 0.0) & (gap <= tol[s])))
+    # the tie rule was exercised on exact ties and on ties up to roundoff (at
+    # the box midpoint, generated contracts' disutilities differ by a few ulps)
+    assert n_tied > 0 and n_near > 0

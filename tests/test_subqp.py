@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from tariff_complex import QpProblem, find_feasible_point, project_simplex, solve_qp
-from tariff_complex.subqp import _factor_working_set, _independent_subset, _join_working_set
+from tariff_complex.subqp import (_factor_working_set, _independent_subset, _join_working_set,
+                                  _leave_working_set)
 
 
 def test_project_simplex_basic_points():
@@ -324,3 +325,45 @@ def test_row_insertion_updates_the_factor(case):
         assert np.abs(unit @ Z).max(initial=0.0) <= 1e-12
         fresh = np.linalg.qr(G[work].T, mode="complete")[0][:, k:]
         assert np.abs(Z @ Z.T - fresh @ fresh.T).max() <= 1e-10
+
+
+@st.composite
+def _joins_and_leaves(draw):
+    """A starting working set, then rows that join it or leave it.
+
+    Rows come from a pool of n + 2 random rows scaled up to 1e4.  A leave
+    takes position ``pos % k``: the last position right after a fresh factor
+    (or a join of the largest index) puts the solution of R' u = e_j on the
+    last unit vector, where the reflector's sign choice avoids cancellation.
+    """
+    n = draw(st.integers(1, 8))
+    k0 = draw(st.integers(0, n))
+    ops = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 7)), min_size=1, max_size=12))
+    return n, k0, ops, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_joins_and_leaves())
+def test_row_removal_updates_the_factor(case):
+    n, k0, ops, seed = case
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n + 2, n)) * 10.0 ** rng.integers(0, 5, size=(n + 2, 1))
+    work = sorted(rng.choice(n + 2, size=k0, replace=False).tolist())
+    Qf, R = _factor_working_set(G[work])
+    for leave, pos in ops:
+        k = len(work)
+        if k < n and (not leave or k == 0):
+            _join_working_set(Qf, work, G, int(rng.choice(np.setdiff1d(np.arange(n + 2), work))))
+            R = Qf[:, : k + 1].T @ G[work].T
+            continue
+        R = _leave_working_set(Qf, work, R, pos % k)
+        k -= 1
+        Y, Z = Qf[:, :k], Qf[:, k:]
+        assert work == sorted(work) and len(work) == k
+        assert np.linalg.norm(Qf.T @ Qf - np.eye(n), np.inf) <= 1e-12
+        norms = np.linalg.norm(G[work], axis=1)
+        assert np.abs(G[work] / norms[:, None] @ Z).max(initial=0.0) <= 1e-12
+        fresh = np.linalg.qr(G[work].T, mode="complete")[0][:, k:]
+        assert np.abs(Z @ Z.T - fresh @ fresh.T).max() <= 1e-10
+        # the returned R is the remaining rows' (C' = Y R), column by column
+        assert np.abs((R - Y.T @ G[work].T) / norms).max(initial=0.0) <= 1e-12
