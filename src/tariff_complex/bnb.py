@@ -27,7 +27,13 @@ how a price vector is evaluated exactly, each indicator's value at a node
 point, and how an integral node point is closed.
 
 Node relaxations drop integrality and are convex, solved by the in-house
-active-set method.  Search order is best bound (ties FIFO), branching is on
+active-set method.  A child is its parent's problem plus one row, so it
+starts from the parent's optimum and final working set (``active_set``,
+mapped to the child's rows: det node rows keep their positions, and a
+regularized child's pin rows after the new one move down by one); nodes
+carry row indices, never a factor.  The active-set method then repairs the
+one violated row instead of running a phase 1 over all rows and picking a
+fresh working set.  Search order is best bound (ties FIFO), branching is on
 the most fractional indicator (ties lexicographic by (segment, option)).  A
 regularized indicator's value is the point of ``[y, 1 - s/M]`` nearest an
 integer, so its fractionality is ``min(y, s/M)``.  Every incumbent is
@@ -144,7 +150,8 @@ class SolveReport:
 class _Node:
     fixed_lo: np.ndarray  # per-indicator lower bounds (0/1)
     fixed_hi: np.ndarray  # per-indicator upper bounds (0/1)
-    warm: np.ndarray | None
+    warm: np.ndarray | None  # the parent's optimum
+    active: list[int] | None  # the parent's final working set, in this node's rows
     parent_bound: float
 
 
@@ -175,6 +182,19 @@ class _Program:
     bin_idx: np.ndarray
     x_shape: tuple[int, int]
     pin_rows: np.ndarray | None = None
+
+    def child_rows(self, rows: list[int], lo: np.ndarray, hi: np.ndarray,
+                   j: int) -> list[int]:
+        """A node's row indices in its child that also fixes indicator j.
+
+        Det node rows keep their positions.  A regularized node appends one
+        row per fixed indicator in indicator order, so the rows after the
+        child's new row for j move down by one.
+        """
+        if self.pin_rows is None:
+            return list(rows)
+        at = self.qp.G.shape[0] + int(np.count_nonzero(lo[:j] == hi[:j]))
+        return [i + (i >= at) for i in rows]
 
 
 def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Program:
@@ -399,7 +419,7 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
     if warm_incumbent is not None:
         offer(np.asarray(warm_incumbent, dtype=float), incumbent)
 
-    root = _Node(fixed_lo=fix_lo.copy(), fixed_hi=fix_hi.copy(), warm=None,
+    root = _Node(fixed_lo=fix_lo.copy(), fixed_hi=fix_hi.copy(), warm=None, active=None,
                  parent_bound=np.inf)
     heap = [(-np.inf, 0, root)]
     seq = 1
@@ -435,7 +455,7 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
 
         node_count += 1
         sol = solve_qp(_node_problem(prog, node.fixed_lo, node.fixed_hi),
-                       warm_start=node.warm)
+                       warm_start=node.warm, warm_active=node.active)
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
@@ -465,11 +485,12 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
             kind = "leaf"
         else:
             j = int(np.argmax(frac))  # first max = lexicographic (s, w) tie-break
+            active = prog.child_rows(sol.active_set, node.fixed_lo, node.fixed_hi, j)
             for v in (0, 1):
                 lo = node.fixed_lo.copy()
                 hi = node.fixed_hi.copy()
                 lo[j] = hi[j] = v
-                child = _Node(fixed_lo=lo, fixed_hi=hi, warm=sol.z.copy(),
+                child = _Node(fixed_lo=lo, fixed_hi=hi, warm=sol.z.copy(), active=active,
                               parent_bound=bound)
                 heapq.heappush(heap, (-bound, seq, child))
                 seq += 1

@@ -12,7 +12,12 @@ parametrization (an SVD, once per solve, since ``A`` may be rank-deficient),
 finds a starting point with a phase-1 LP, and then iterates
 equality-constrained steps.  The starting working set is an independent
 subset of the rows tight there, picked greedily by index with an incremental
-(twice Gram-Schmidt) rank test, and is factorized by a Householder QR of its
+(twice Gram-Schmidt) rank test.  A warm start from the optimum and final
+working set of a problem with one row fewer (a branch-and-bound parent)
+skips that scan: phase 1 becomes a repair that relaxes the one violated row
+alone and starts from the given rows, and the main loop starts from the
+repair's final rows among them plus the new row, which joins unless they
+span it.  The working set is factorized by a Householder QR of its
 rows' transpose: the trailing columns of the orthogonal factor span the null
 space for the step, and the leading block with R gives the multipliers
 (Nocedal & Wright, *Numerical Optimization*, ch. 16).  A row that joins the
@@ -306,18 +311,23 @@ def _working_set_step(Q, g, Z, qscale):
     return -(Z @ newton), False
 
 
-def _active_set_core(Q, c, G, h, x0, max_iter):
+def _active_set_core(Q, c, G, h, x0, max_iter, start=None, join=None):
     """Inequality-only active-set loop on pre-normalized rows.
 
     Returns (x, status, working_set, lam_on_working_set, iters, ray).
-    The caller guarantees x0 is feasible to ~1e-9.
+    The caller guarantees x0 is feasible to ~1e-9.  The starting working
+    set is ``start``, independent rows tight at x0, or else an independent
+    subset of the rows tight there; ``join``, a row tight at x0, then joins
+    it unless it lies in its span.
     """
     m, n = G.shape
     x = np.array(x0, dtype=float)
     qscale = float(np.abs(Q).max(initial=0.0))
-    slack0 = h - G @ x if m else np.zeros(0)
-    near = np.flatnonzero(slack0 <= 1e-9) if m else np.array([], dtype=int)
-    work = _independent_subset(G, near, n)
+    if start is None:
+        near = np.flatnonzero(h - G @ x <= 1e-9) if m else np.array([], dtype=int)
+        work = _independent_subset(G, near, n)
+    else:
+        work = list(start)
     work.sort()
     bland = False
     stall = 0
@@ -331,6 +341,13 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
     # multipliers or a removal need it
     Qf = R = None
     updates = 0
+    if join is not None:
+        Qf, R = _factor_working_set(G[work])
+        k = len(work)
+        if not _in_span(G[join], Qf[:, :k], Qf[:, k:], R, G, work):
+            _join_working_set(Qf, work, G, join)
+            R = None
+            updates = 1
     while it < max_iter:
         it += 1
         g = Q @ x + c if qscale > 0.0 else c
@@ -412,15 +429,38 @@ def _active_set_core(Q, c, G, h, x0, max_iter):
     return x, "iteration_limit", work, lam, it, None
 
 
-def _phase_one(G, h, u0, max_iter):
-    """Minimize the single relaxation t of G u - t <= h, t >= 0.
+def _tight(G, h, x, rows) -> list[int]:
+    """The rows, in order, whose slack at x is at most 1e-7."""
+    rows = np.asarray(rows, dtype=int)
+    return rows[h[rows] - G[rows] @ x <= 1e-7].tolist()
 
-    Returns (feasible_point_or_None, status).  The start (u0, t0) with
-    t0 = max violation + 1 is strictly feasible, so no recursion is needed.
+
+def _phase_one(G, h, u0, max_iter, repair=None):
+    """Minimize the relaxation t of G u - t e <= h, t >= 0.
+
+    Cold (``repair`` None): every row is elastic (e = 1), and the start
+    (u0, t0) with t0 = max violation + 1 is strictly feasible, so no
+    recursion is needed.  Repair (``repair = (r, rows)``): u0 violates row
+    r alone, and ``rows`` are independent rows, such as a parent node's
+    final working set.  Only row r is elastic (e = e_r) and t0 is its
+    violation, so every row u0 satisfies stays hard, and the core starts
+    from r and those of ``rows`` tight at u0 instead of a rank scan.
+
+    Returns (feasible_point_or_None, status, start): ``start`` is None when
+    cold; after a repair it is the final working rows that are among
+    ``rows``, to start the main loop from.
     """
     m, n = G.shape
-    t0 = max(0.0, float((G @ u0 - h).max(initial=0.0))) + 1.0
-    Gp = np.hstack([G, -np.ones((m, 1))])
+    if repair is None:
+        e, start = np.ones(m), None
+        t0 = max(0.0, float((G @ u0 - h).max(initial=0.0))) + 1.0
+    else:
+        r, rows = repair
+        e = np.zeros(m)
+        e[r] = 1.0
+        t0 = float(G[r] @ u0 - h[r])
+        start = _tight(G, h, u0, rows) + [r]
+    Gp = np.hstack([G, -e[:, None]])
     Gp = np.vstack([Gp, np.concatenate([np.zeros(n), [-1.0]])])
     hp = np.concatenate([h, [0.0]])
     norms = np.linalg.norm(Gp, axis=1)
@@ -429,30 +469,42 @@ def _phase_one(G, h, u0, max_iter):
     cp = np.zeros(n + 1)
     cp[-1] = 1.0
     x0 = np.concatenate([u0, [t0]])
-    x, status, *_ = _active_set_core(np.zeros((n + 1, n + 1)), cp, Gp, hp, x0, max_iter)
+    x, status, work, *_ = _active_set_core(np.zeros((n + 1, n + 1)), cp, Gp, hp, x0,
+                                           max_iter, start=start)
     if status not in ("optimal", "iteration_limit"):
-        return None, status
+        return None, status, None
     t_star = float(x[-1])
     if t_star > 1e-9 * max(1.0, float(np.abs(h).max(initial=0.0))):
-        return None, "infeasible"
-    return x[:n], "ok"
+        return None, "infeasible", None
+    if repair is not None:
+        start = _tight(G, h, x[:n], sorted(set(work).intersection(rows.tolist())))
+    return x[:n], "ok", start
 
 
-def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
+def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
+             warm_active: list[int] | None = None) -> QpSolution:
     """Solve a convex QP/LP.  Deterministic; see module docstring.
 
     ``warm_start`` is projected onto the equality manifold and used when
-    feasible, otherwise it seeds the phase-1 search.  Unbounded problems are
-    reported with a certifying ray, never silently clamped.  The iteration
-    cap is ``50 (n + m) + 50`` for n free variables after the equalities are
-    eliminated and m non-constant rows.  Hitting it triggers one
-    ridge-regularized retry (Q + 1e-12 I, flagged) when Q is nonzero.
+    feasible, otherwise it seeds the phase-1 search.  ``warm_active`` are
+    rows of ``prob.G`` independent after the equalities are eliminated,
+    such as the final working set (``QpSolution.active_set``) of a problem
+    with one row fewer, whose optimum is ``warm_start``.  When the warm
+    start violates exactly one row, they turn phase 1 into a repair that
+    relaxes that row alone and starts from the given rows still tight, and
+    the main loop starts from the repair's final rows among them, plus the
+    violated row unless they span it.  Otherwise ``warm_active`` is ignored.
+    Unbounded problems are reported with a certifying ray, never silently
+    clamped.  The iteration cap is ``50 (n + m) + 50`` for n free variables
+    after the equalities are eliminated and m non-constant rows.  Hitting
+    it triggers one ridge-regularized retry (Q + 1e-12 I, flagged) when Q
+    is nonzero.
     """
     _check_psd(prob.Q)
-    return _solve_qp_inner(prob, warm_start, ridge=False)
+    return _solve_qp_inner(prob, warm_start, ridge=False, warm_active=warm_active)
 
 
-def _solve_qp_inner(prob, warm_start, ridge):
+def _solve_qp_inner(prob, warm_start, ridge, warm_active=None):
     n = prob.n
     Q = prob.Q
     if ridge:
@@ -505,17 +557,23 @@ def _solve_qp_inner(prob, warm_start, ridge):
         return sol
 
     # starting point
-    u_start = None
+    u_start = start = repair = None
     u_seed = np.zeros(nu)
     if warm_start is not None:
         uw = N.T @ (np.asarray(warm_start, dtype=float).ravel() - z0)
-        if not Gn.shape[0] or float((Gn @ uw - hn).max(initial=0.0)) <= 1e-9:
+        over = np.flatnonzero(Gn @ uw - hn > 1e-9) if Gn.shape[0] else []
+        if not len(over):
             u_start = uw
         else:
             u_seed = uw
+            if len(over) == 1 and warm_active is not None:
+                reduced = np.full(prob.G.shape[0], -1)
+                reduced[keep] = np.arange(keep.size)
+                rows = reduced[np.asarray(warm_active, dtype=int)]
+                repair = (int(over[0]), rows[(rows >= 0) & (rows != over[0])])
     if u_start is None:
         if Gn.shape[0]:
-            u_start, st = _phase_one(Gn, hn, u_seed, cap)
+            u_start, st, start = _phase_one(Gn, hn, u_seed, cap, repair)
             if u_start is None:
                 return QpSolution(z=np.full(n, np.nan), value=np.nan,
                                   status="infeasible" if st == "infeasible" else st,
@@ -523,7 +581,8 @@ def _solve_qp_inner(prob, warm_start, ridge):
         else:
             u_start = u_seed
 
-    u, status, work, lam_w, iters, ray_u = _active_set_core(Qu, cu, Gn, hn, u_start, cap)
+    u, status, work, lam_w, iters, ray_u = _active_set_core(
+        Qu, cu, Gn, hn, u_start, cap, start, None if start is None else repair[0])
     z = z0 + N @ u
 
     if status == "iteration_limit" and not ridge and np.any(prob.Q):

@@ -384,11 +384,14 @@ def test_generated_det_working_sets_are_independent(monkeypatch):
     # 40-row working set: its rate along a unit ray was roundoff (2.5e-13),
     # above the step-relative threshold, and left R singular
     # working sets are factorized afresh, or reached by an in-place update
-    # when a row joins or leaves; all three are checked
+    # when a row joins or leaves; all three are checked, and so are the
+    # start rows a child takes from its parent's working set
     real = subqp._factor_working_set
     real_join = subqp._join_working_set
     real_leave = subqp._leave_working_set
+    real_core = subqp._active_set_core
     sizes = []
+    warm_starts = []
 
     def checked(C):
         assert np.linalg.matrix_rank(C) == C.shape[0]
@@ -406,13 +409,114 @@ def test_generated_det_working_sets_are_independent(monkeypatch):
         sizes.append(len(work))
         return R
 
+    def checked_core(Q, c, G, h, x0, max_iter, start=None, join=None):
+        if start is not None:
+            assert np.linalg.matrix_rank(G[start]) == len(start)
+            warm_starts.append(len(start))
+        return real_core(Q, c, G, h, x0, max_iter, start, join)
+
     monkeypatch.setattr(subqp, "_factor_working_set", checked)
     monkeypatch.setattr(subqp, "_join_working_set", checked_join)
     monkeypatch.setattr(subqp, "_leave_working_set", checked_leave)
+    monkeypatch.setattr(subqp, "_active_set_core", checked_core)
     inst = generate(GeneratorConfig(S=8, n_company_contracts=3, seed=18))
     rep = solve_det(inst, SolverOptions(node_limit=30))
     assert max(sizes) >= 40
+    assert max(warm_starts) >= 40
     assert rep.objective == pytest.approx(270.885860, abs=1e-6)
+
+
+def _program(inst, model):
+    if model == "det":
+        mm = bigm_det(inst)
+        return bnb._bigm_program(inst, mm), mm
+    mm = bigm_quad(inst, 0.05)
+    return bnb._bigm_program(inst, mm, Beta(0.05).per_segment(inst.S)), mm
+
+
+def _most_fractional(prog, mm, v, lo, hi):
+    """The free indicator farthest from integral at v, as solve_det and
+    solve_quad measure it, and that distance."""
+    y = v[prog.bin_idx]
+    if prog.pin_rows is None:
+        frac = np.minimum(y, 1.0 - y)
+    else:
+        low = prog.pin_rows[:, 1]
+        frac = np.minimum(y, (prog.qp.h[low] - prog.qp.G[low] @ v) / mm.per_indicator())
+    frac = np.where(lo != hi, frac, 0.0)
+    return int(np.argmax(frac)), float(frac.max())
+
+
+def _warm_and_cold(prog, parent, lo, hi, j, v):
+    """The child of (lo, hi) that fixes indicator j at v, solved from the
+    parent's optimum and working set and solved cold; both must agree."""
+    rows = prog.child_rows(parent.active_set, lo, hi, j)
+    lo, hi = lo.copy(), hi.copy()
+    lo[j] = hi[j] = v
+    prob = bnb._node_problem(prog, lo, hi)
+    warm = subqp.solve_qp(prob, warm_start=parent.z, warm_active=rows)
+    cold = subqp.solve_qp(prob)
+    assert warm.status == cold.status
+    assert warm.status in ("optimal", "infeasible")
+    if cold.status == "optimal":
+        assert abs(warm.value - cold.value) <= 1e-7 * max(1.0, abs(cold.value))
+    return warm, lo, hi
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=st.sampled_from(["det", "quad"]), S=st.integers(2, 5), W=st.integers(2, 3),
+       seed=st.integers(0, 2**31 - 1),
+       path=st.lists(st.integers(0, 1), min_size=1, max_size=4))
+def test_warm_child_solve_agrees_with_cold(model, S, W, seed, path):
+    # a child starts from its parent's optimum and final working set, which
+    # turns phase 1 into a repair of the one branched row; down a random path
+    # of most-fractional branches, and on a planted infeasible det branch,
+    # it must reach the status and value of a cold solve of the same node,
+    # from start rows of full rank
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
+    starts, repairs = [], []
+    real_core, real_phase_one = subqp._active_set_core, subqp._phase_one
+
+    def core(Q, c, G, h, x0, max_iter, start=None, join=None):
+        if start is not None:
+            starts.append(np.linalg.matrix_rank(G[start]) == len(start))
+        return real_core(Q, c, G, h, x0, max_iter, start, join)
+
+    def phase_one(G, h, u0, max_iter, repair=None):
+        repairs.append(repair is not None)
+        return real_phase_one(G, h, u0, max_iter, repair)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subqp, "_active_set_core", core)
+        mp.setattr(subqp, "_phase_one", phase_one)
+        prog, mm = _program(inst, model)
+        lo = np.zeros(prog.bin_idx.size, dtype=np.int8)
+        hi = np.ones_like(lo)
+        parent = subqp.solve_qp(bnb._node_problem(prog, lo, hi))
+        assert parent.status == "optimal"
+        for side in path:
+            j, frac = _most_fractional(prog, mm, parent.z, lo, hi)
+            if frac <= 1e-6:
+                break
+            kids = [_warm_and_cold(prog, parent, lo, hi, j, v) for v in (0, 1)]
+            parent, lo, hi = kids[side]
+            if parent.status != "optimal":
+                break
+
+        # pin out all of segment 0's options but its det choice at the box
+        # midpoint, a feasible node; pinning that one out too leaves none
+        prog, _ = _program(inst, "det")
+        choice = int(np.argmin(inst.disutilities(inst.polytope.midpoint())[0]))
+        lo = np.zeros(prog.bin_idx.size, dtype=np.int8)
+        hi = np.ones_like(lo)
+        hi[:W + 1] = 0
+        hi[choice] = 1
+        parent = subqp.solve_qp(bnb._node_problem(prog, lo, hi))
+        assert parent.status == "optimal"
+        before = len(repairs)
+        kid, *_ = _warm_and_cold(prog, parent, lo, hi, choice, 0)
+    assert kid.status == "infeasible"
+    assert repairs[before] and all(starts)
 
 
 def _loop_bigm(inst, bs=None):
