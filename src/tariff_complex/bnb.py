@@ -27,25 +27,27 @@ how a price vector is evaluated exactly, each indicator's value at a node
 point, and how an integral node point is closed.
 
 Node relaxations drop integrality and are convex, solved by the in-house
-active-set method.  A child is its parent's problem plus one row, so it
-starts from the parent's optimum and final working set (``active_set``,
-mapped to the child's rows: det node rows keep their positions, and a
-regularized child's pin rows after the new one move down by one); nodes
-carry row indices, never a factor.  The active-set method then repairs the
-one violated row instead of running a phase 1 over all rows and picking a
-fresh working set.  Search order is best bound (ties FIFO), branching is on
-the most fractional indicator (ties lexicographic by (segment, option)).  A
-regularized indicator's value is the point of ``[y, 1 - s/M]`` nearest an
-integer, so its fractionality is ``min(y, s/M)``.  Every incumbent is
-rebuilt from an exact response evaluation, so reported objectives never
-inherit relaxation slack.  A node QP that stops at the iteration cap bounds
-nothing, so its node keeps the parent's bound and is branched;
-``extras["iteration_limit_nodes"]`` counts such nodes,
-``extras["iteration_limit_leaves"]`` counts integral leaves whose cell solve
-stopped at its cap (their incumbents are feasible, not certified cell
-optima), and ``extras["tree"]`` holds a (parent bound, node bound) pair per
-solved node.  A tree exhausted without an incumbent reports ``infeasible``
-(bound ``-inf``).
+active-set method.  Each tree reduces its program once, with every row a
+node may append (``_Program.node_G``), and each node QP takes its rows from
+that reduction, bit for bit as if it reduced its own problem.  A child is
+its parent's problem plus one row, so it starts from the parent's optimum
+and final working set (``active_set``, mapped to the child's rows: det node
+rows keep their positions, and a regularized child's pin rows after the new
+one move down by one); nodes carry row indices, never a factor.  The
+active-set method then repairs the one violated row instead of running a
+phase 1 over all rows and picking a fresh working set.  Search order is best
+bound (ties FIFO), branching is on the most fractional indicator (ties
+lexicographic by (segment, option)).  A regularized indicator's value is the
+point of ``[y, 1 - s/M]`` nearest an integer, so its fractionality is
+``min(y, s/M)``.  Every incumbent is rebuilt from an exact response
+evaluation, so reported objectives never inherit relaxation slack.  A node
+QP that stops at the iteration cap bounds nothing, so its node keeps the
+parent's bound and is branched; ``extras["iteration_limit_nodes"]`` counts
+such nodes, ``extras["iteration_limit_leaves"]`` counts integral leaves
+whose cell solve stopped at its cap (their incumbents are feasible, not
+certified cell optima), and ``extras["tree"]`` holds a (parent bound, node
+bound) pair per solved node.  A tree exhausted without an incumbent reports
+``infeasible`` (bound ``-inf``).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .model import profit as _profit
 from .price_complex import (CellInfeasibleError, _solve_cell,  # noqa: F401
                             pure_assignment_lp, solve_cell)
 from .response import Beta, det_response_set, quad_response
-from .subqp import QpProblem, solve_qp
+from .subqp import QpProblem, Reduction, reduce_qp, solve_qp
 
 log = logging.getLogger("tariff_complex.bnb")
 
@@ -176,11 +178,14 @@ class _Program:
     are the ``ybar`` columns, one per indicator.  ``pin_rows`` (regularized
     only) is an (S*(W+1), 2) array of row indices: negated, row ``[k, 0]``
     reads ``y_k <= 0`` and row ``[k, 1]`` reads ``s_k <= 0``, which pin
-    indicator k at 0 or 1."""
+    indicator k at 0 or 1.  ``node_G`` are the rows a node may append (see
+    ``_node_rows``): det, ``y_k`` and ``-y_k`` for indicator k at rows 2k
+    and 2k + 1; regularized, pin row ``[k, v]`` negated at row 2k + v."""
 
     qp: QpProblem
     bin_idx: np.ndarray
     x_shape: tuple[int, int]
+    node_G: np.ndarray
     pin_rows: np.ndarray | None = None
 
     def child_rows(self, rows: list[int], lo: np.ndarray, hi: np.ndarray,
@@ -250,35 +255,44 @@ def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Pr
     qp = QpProblem(Q=Q, c=c, G=np.vstack([G_box, Gs.reshape(-1, n)]),
                    h=np.concatenate([h_box, hs.ravel()]), A=A, b=np.ones(S))
     pin_rows = None
-    if bs is not None:
+    if bs is None:
+        node_G = np.zeros((2 * n_bin, n))
+        node_G[2 * k, iy] = 1.0
+        node_G[2 * k + 1, iy] = -1.0
+    else:
         first = G_box.shape[0] + rows * k
         pin_rows = np.column_stack([first + 2, first])
-    return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), pin_rows=pin_rows)
+        node_G = -qp.G[pin_rows.ravel()]
+    return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), node_G=node_G, pin_rows=pin_rows)
+
+
+def _node_rows(prog: _Program, lo: np.ndarray, hi: np.ndarray):
+    """The rows of ``prog.node_G`` a node appends, in order, and their bounds:
+    det, all (``y_k <= hi_k``, ``-y_k <= -lo_k``); regularized, one per fixed
+    indicator, its pin row negated (``y_k <= 0`` at 0, ``s_k <= 0`` at 1)."""
+    if prog.pin_rows is None:
+        h = np.zeros(2 * lo.size)
+        h[0::2] = hi
+        h[1::2] = -lo  # integer negation: a free binary's row reads +0.0, not -0.0
+        return np.arange(2 * lo.size), h
+    k = np.flatnonzero(lo == hi)
+    return 2 * k + lo[k], -prog.qp.h[prog.pin_rows[k, lo[k]]]
 
 
 def _node_problem(prog: _Program, lo: np.ndarray, hi: np.ndarray) -> QpProblem:
-    """The program with the node's indicator rows appended.
-
-    Det: rows ``y_k <= hi_k`` and ``-y_k <= -lo_k`` in pairs, one pair per
-    indicator.  Regularized: one row per fixed indicator, in indicator
-    order, its pin row negated (``y_k <= 0`` at 0, ``s_k <= 0`` at 1); a
-    free indicator appends nothing.
-    """
+    """The program with the node's rows appended."""
+    idx, h = _node_rows(prog, lo, hi)
     qp = prog.qp
-    if prog.pin_rows is None:
-        m = prog.bin_idx.size
-        G = np.zeros((2 * m, qp.n))
-        G[2 * np.arange(m), prog.bin_idx] = 1.0
-        G[2 * np.arange(m) + 1, prog.bin_idx] = -1.0
-        h = np.zeros(2 * m)
-        h[0::2] = hi
-        h[1::2] = -lo  # integer negation: a free binary's row reads +0.0, not -0.0
-    else:
-        k = np.flatnonzero(lo == hi)
-        rows = prog.pin_rows[k, lo[k]]
-        G, h = -qp.G[rows], -qp.h[rows]
-    return QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, G]),
+    return QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, prog.node_G[idx]]),
                      h=np.concatenate([qp.h, h]), A=qp.A, b=qp.b)
+
+
+def _tree_reduction(prog: _Program) -> Reduction | None:
+    """``reduce_qp`` of the program with ``node_G`` appended: every node of
+    a tree takes its reduced rows from it (``solve_qp``'s ``reduced``)."""
+    qp = prog.qp
+    G = np.vstack([qp.G, prog.node_G])
+    return reduce_qp(QpProblem(Q=qp.Q, c=qp.c, G=G, h=np.zeros(G.shape[0]), A=qp.A, b=qp.b))
 
 
 def solve_det(inst: Instance, opts: SolverOptions | None = None,
@@ -415,6 +429,7 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
     incumbent; ``leaf_value(v, zb, incumbent)`` closes an integral node
     point and says whether its cell solve stopped at the iteration cap."""
     nx = prog.x_shape[0] * prog.x_shape[1]
+    tree, m = _tree_reduction(prog), prog.qp.G.shape[0]
     incumbent = _Incumbent()
     if warm_incumbent is not None:
         offer(np.asarray(warm_incumbent, dtype=float), incumbent)
@@ -454,8 +469,10 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
             break
 
         node_count += 1
+        idx, _ = _node_rows(prog, node.fixed_lo, node.fixed_hi)
         sol = solve_qp(_node_problem(prog, node.fixed_lo, node.fixed_hi),
-                       warm_start=node.warm, warm_active=node.active)
+                       warm_start=node.warm, warm_active=node.active,
+                       reduced=(tree, np.concatenate([np.arange(m), m + idx])))
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":

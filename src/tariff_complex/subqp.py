@@ -7,17 +7,19 @@ Two entry points:
 * :func:`solve_qp` - primal active-set method for convex QPs (LPs when Q = 0)
   over general polytopes ``{z : G z <= h, A z = b}``.
 
-The active-set method eliminates equalities through a null-space
-parametrization (an SVD, once per solve, since ``A`` may be rank-deficient),
-finds a starting point with a phase-1 LP, and then iterates
-equality-constrained steps.  The starting working set is an independent
-subset of the rows tight there, picked greedily by index with an incremental
-(twice Gram-Schmidt) rank test.  A warm start from the optimum and final
-working set of a problem with one row fewer (a branch-and-bound parent)
-skips that scan: phase 1 becomes a repair that relaxes the one violated row
-alone and starts from the given rows, and the main loop starts from the
-repair's final rows among them plus the new row, which joins unless they
-span it.  The working set is factorized by a Householder QR of its
+The active-set method works in two steps.  :func:`reduce_qp` eliminates the
+equalities through a null-space parametrization (an SVD, since ``A`` may be
+rank-deficient), reduces and normalizes every inequality row and checks that
+Q is PSD, once per program.  The solve then picks the rows it is given,
+drops those the reduction zeroed, finds a starting point with a phase-1 LP,
+and iterates equality-constrained steps.  The starting working set is an
+independent subset of the rows tight there, picked greedily by index with an
+incremental (twice Gram-Schmidt) rank test.  A warm start from the optimum
+and final working set of a problem with one row fewer (a branch-and-bound
+parent) skips that scan: phase 1 becomes a repair that relaxes the one
+violated row alone and starts from the given rows, and the main loop starts
+from the repair's final rows among them plus the new row, which joins unless
+they span it.  The working set is factorized by a Householder QR of its
 rows' transpose: the trailing columns of the orthogonal factor span the null
 space for the step, and the leading block with R gives the multipliers
 (Nocedal & Wright, *Numerical Optimization*, ch. 16).  A row that joins the
@@ -26,29 +28,32 @@ null-space block (Gill, Golub, Murray & Saunders, Math. Comp. 1974), and R
 is formed from the leading block only when the multipliers need it.  A row
 that leaves (a negative multiplier, or a row that drifted off its bound) is
 removed by one reflector on the leading block, which turns the direction
-orthogonal to the other working rows into the last leading column, and
-that column joins the null space.  The factor is computed afresh once per
-solve and again after n in-place updates, which bounds their drift.  Rows
-in the working set's span never join it, so the working rows stay
-independent and the unpivoted QR needs no rank decision:
-the ratio test considers only rows whose rate along the step exceeds
-``1e-13 * max(1, |p|_inf)`` (a spanned row's rate is roundoff of order
-eps * |p|), and a blocking row that a ``matrix_rank``-style test finds in the
-span anyway (spanned with large coefficients, which amplify that roundoff)
-is passed over.  LPs (Q = 0)
-skip the reduced-Hessian eigendecomposition: the step is the projected
+orthogonal to the other working rows into the last leading column, and that
+column joins the null space.  The factor is computed afresh once per solve
+and again after n in-place updates, which bounds their drift.  Rows in the
+working set's span never join it, so the working rows stay independent and
+the unpivoted QR needs no rank decision: the ratio test considers only rows
+whose rate along the step exceeds ``1e-13 * max(1, |p|_inf)`` (a spanned
+row's rate is roundoff of order eps * |p|), and a blocking row that a
+``matrix_rank``-style test finds in the span anyway (spanned with large
+coefficients, which amplify that roundoff) is passed over.  LPs (Q = 0) skip
+the reduced-Hessian eigendecomposition: the step is the projected
 steepest-descent ray or zero.  After a full Newton step that no row blocks,
 the iterate minimizes over the working set, so the next iteration goes
-straight to the multipliers instead of recomputing a step that is zero up
-to roundoff.  Anti-cycling uses lexicographic tie-breaking on constraint
+straight to the multipliers instead of recomputing a step that is zero up to
+roundoff.  Anti-cycling uses lexicographic tie-breaking on constraint
 indices, with a Bland-style fallback after repeated degenerate steps.
 Everything is deterministic: identical inputs give identical iterates.
+Rows are reduced and normalized row by row, so a solve on some rows of a
+reduced program (a branch-and-bound node's rows of its tree's program) runs
+bit for bit as if those rows had been reduced alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +146,57 @@ class QpSolution:
     n_iterations: int = 0
     ridge_applied: bool = False
     ray: np.ndarray | None = None
+
+
+@dataclass
+class Reduction:
+    """A program in its equalities' null space, ``z = z0 + N u``: objective
+    ``1/2 u'Qu u + cu'u``; per row of G, ``G N`` normalized (``Gn``), its
+    norm, ``G z0``, and ``big``, the largest |entry| of the row or of
+    ``G N``'s row, which sets the zero-row threshold."""
+
+    z0: np.ndarray
+    N: np.ndarray
+    Qu: np.ndarray
+    cu: np.ndarray
+    Gn: np.ndarray
+    norms: np.ndarray
+    Gz0: np.ndarray
+    big: np.ndarray
+
+    @cached_property
+    def lifted(self):
+        """Each row as a hard phase-1 row ``[Gn, -0]``, normalized, with its norm."""
+        return _unit_rows(np.hstack([self.Gn, np.full((self.Gn.shape[0], 1), -0.0)]))
+
+
+def _unit_rows(G):
+    """G's rows divided by their norms (a zero row is left as it is), and the norms."""
+    norms = np.linalg.norm(G, axis=1)
+    return G / np.where(norms > 0.0, norms, 1.0)[:, None], norms
+
+
+def reduce_qp(prob: QpProblem, ridge: bool = False) -> Reduction | None:
+    """Eliminate prob's equalities and reduce its rows (None: inconsistent
+    equalities).  Checks that Q is PSD, or with ``ridge`` adds a ridge."""
+    n, Q = prob.n, prob.Q
+    if ridge:
+        Q = Q + _RIDGE * max(1.0, float(np.abs(Q).max(initial=0.0))) * np.eye(n)
+    else:
+        _check_psd(Q)
+    if prob.A.shape[0]:
+        z0, *_ = np.linalg.lstsq(prob.A, prob.b, rcond=None)
+        if float(np.abs(prob.A @ z0 - prob.b).max(initial=0.0)) > \
+                EPS_FEAS * max(1.0, float(np.abs(prob.b).max(initial=0.0))):
+            return None
+        N = _nullspace(prob.A, n)
+    else:
+        z0, N = np.zeros(n), np.eye(n)
+    Gu = prob.G @ N
+    Gn, norms = _unit_rows(Gu)
+    big = np.maximum(np.abs(Gu).max(axis=1, initial=0.0), np.abs(prob.G).max(axis=1, initial=0.0))
+    return Reduction(z0=z0, N=N, Qu=N.T @ Q @ N, cu=N.T @ (prob.c + Q @ z0), Gn=Gn,
+                     norms=norms, Gz0=prob.G @ z0, big=big)
 
 
 def _check_psd(Q: np.ndarray) -> None:
@@ -440,32 +496,32 @@ def _phase_one(G, h, u0, max_iter, repair=None):
 
     Cold (``repair`` None): every row is elastic (e = 1), and the start
     (u0, t0) with t0 = max violation + 1 is strictly feasible, so no
-    recursion is needed.  Repair (``repair = (r, rows)``): u0 violates row
-    r alone, and ``rows`` are independent rows, such as a parent node's
-    final working set.  Only row r is elastic (e = e_r) and t0 is its
-    violation, so every row u0 satisfies stays hard, and the core starts
-    from r and those of ``rows`` tight at u0 instead of a rank scan.
+    recursion is needed.  Repair (``repair = (r, rows, lifted)``): u0
+    violates row r alone, and ``rows`` are independent rows, such as a
+    parent node's final working set.  Only row r is elastic (e = e_r) and t0
+    is its violation, so every row u0 satisfies stays hard, and the core
+    starts from r and those of ``rows`` tight at u0 instead of a rank scan.
+    ``lifted`` holds G's rows as hard phase-1 rows (``Reduction.lifted``);
+    only row r's is built here.
 
     Returns (feasible_point_or_None, status, start): ``start`` is None when
     cold; after a repair it is the final working rows that are among
     ``rows``, to start the main loop from.
     """
     m, n = G.shape
+    last = np.concatenate([np.zeros(n), [-1.0]])
     if repair is None:
-        e, start = np.ones(m), None
+        start = None
         t0 = max(0.0, float((G @ u0 - h).max(initial=0.0))) + 1.0
+        Gp, norms = _unit_rows(np.vstack([np.hstack([G, -np.ones((m, 1))]), last]))
     else:
-        r, rows = repair
-        e = np.zeros(m)
-        e[r] = 1.0
+        r, rows, (Gp, norms) = repair
         t0 = float(G[r] @ u0 - h[r])
         start = _tight(G, h, u0, rows) + [r]
-    Gp = np.hstack([G, -e[:, None]])
-    Gp = np.vstack([Gp, np.concatenate([np.zeros(n), [-1.0]])])
-    hp = np.concatenate([h, [0.0]])
-    norms = np.linalg.norm(Gp, axis=1)
-    Gp = Gp / norms[:, None]
-    hp = hp / norms
+        Gp, norms = np.vstack([Gp, last]), np.append(norms, 1.0)
+        row, norm = _unit_rows(np.append(G[r], -1.0)[None])
+        Gp[r], norms[r] = row[0], norm[0]
+    hp = np.append(h, 0.0) / norms
     cp = np.zeros(n + 1)
     cp[-1] = 1.0
     x0 = np.concatenate([u0, [t0]])
@@ -482,7 +538,8 @@ def _phase_one(G, h, u0, max_iter, repair=None):
 
 
 def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
-             warm_active: list[int] | None = None) -> QpSolution:
+             warm_active: list[int] | None = None,
+             reduced: tuple[Reduction | None, np.ndarray] | None = None) -> QpSolution:
     """Solve a convex QP/LP.  Deterministic; see module docstring.
 
     ``warm_start`` is projected onto the equality manifold and used when
@@ -494,64 +551,48 @@ def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
     relaxes that row alone and starts from the given rows still tight, and
     the main loop starts from the repair's final rows among them, plus the
     violated row unless they span it.  Otherwise ``warm_active`` is ignored.
-    Unbounded problems are reported with a certifying ray, never silently
-    clamped.  The iteration cap is ``50 (n + m) + 50`` for n free variables
-    after the equalities are eliminated and m non-constant rows.  Hitting
-    it triggers one ridge-regularized retry (Q + 1e-12 I, flagged) when Q
-    is nonzero.
+    ``reduced = (red, rows)`` skips the reduction: ``red`` is
+    :func:`reduce_qp` of a program with prob's Q, c, A and b whose rows
+    ``rows`` (any h) are prob's rows of G, in order.  Without it, prob is
+    reduced here.  Unbounded problems are reported with a certifying ray,
+    never silently clamped.  The iteration cap is ``50 (n + m) + 50`` for n
+    free variables after the equalities are eliminated and m non-constant
+    rows.  Hitting it triggers one ridge-regularized retry (Q + 1e-12 I,
+    flagged) when Q is nonzero.
     """
-    _check_psd(prob.Q)
-    return _solve_qp_inner(prob, warm_start, ridge=False, warm_active=warm_active)
+    return _solve_qp_inner(prob, warm_start, ridge=False, warm_active=warm_active,
+                           reduced=reduced)
 
 
-def _solve_qp_inner(prob, warm_start, ridge, warm_active=None):
+def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     n = prob.n
-    Q = prob.Q
-    if ridge:
-        Q = Q + _RIDGE * max(1.0, float(np.abs(Q).max(initial=0.0))) * np.eye(n)
 
-    # eliminate equalities: z = z0 + N u
-    if prob.A.shape[0]:
-        z0, residual, *_ = np.linalg.lstsq(prob.A, prob.b, rcond=None)
-        if float(np.abs(prob.A @ z0 - prob.b).max(initial=0.0)) > EPS_FEAS * max(
-            1.0, float(np.abs(prob.b).max(initial=0.0))
-        ):
-            return QpSolution(z=np.full(n, np.nan), value=np.nan, status="infeasible",
-                              ridge_applied=ridge)
-        N = _nullspace(prob.A, n)
-    else:
-        z0 = np.zeros(n)
-        N = np.eye(n)
+    def failed(status="infeasible"):
+        return QpSolution(z=np.full(n, np.nan), value=np.nan, status=status, ridge_applied=ridge)
+
+    red, rows = reduced or (reduce_qp(prob, ridge), np.arange(prob.G.shape[0]))
+    if red is None:
+        return failed()
+    z0, N = red.z0, red.N
     nu = N.shape[1]
 
-    Gu = prob.G @ N
-    hu = prob.h - prob.G @ z0
+    hu = prob.h - red.Gz0[rows]
     # constant rows (zeroed by the reduction) are feasibility checks only
-    if Gu.shape[0]:
-        norms = np.linalg.norm(Gu, axis=1)
-        zero = norms <= 1e-13 * max(1.0, float(np.abs(Gu).max(initial=0.0)), float(np.abs(prob.G).max(initial=0.0)))
-        if np.any(hu[zero] < -EPS_FEAS * np.maximum(1.0, np.abs(hu[zero]))):
-            return QpSolution(z=np.full(n, np.nan), value=np.nan, status="infeasible",
-                              ridge_applied=ridge)
-        keep = np.flatnonzero(~zero)
-    else:
-        keep = np.array([], dtype=int)
-    Gn = Gu[keep]
-    row_norms = np.linalg.norm(Gn, axis=1) if keep.size else np.zeros(0)
-    if keep.size:
-        Gn = Gn / row_norms[:, None]
-    hn = hu[keep] / row_norms if keep.size else np.zeros(0)
-
-    Qu = N.T @ Q @ N
-    cu = N.T @ (prob.c + Q @ z0)
+    norms = red.norms[rows]
+    zero = norms <= 1e-13 * max(1.0, float(red.big[rows].max(initial=0.0)))
+    if np.any(hu[zero] < -EPS_FEAS * np.maximum(1.0, np.abs(hu[zero]))):
+        return failed()
+    keep = np.flatnonzero(~zero)
+    Gn = red.Gn[rows[keep]]
+    row_norms = norms[keep]
+    hn = hu[keep] / row_norms
     cap = 50 * (nu + Gn.shape[0]) + 50
 
     if nu == 0:
         z = z0
         viol = float((prob.G @ z - prob.h).max(initial=0.0)) if prob.G.shape[0] else 0.0
         if viol > EPS_FEAS * max(1.0, float(np.abs(prob.h).max(initial=0.0))):
-            return QpSolution(z=np.full(n, np.nan), value=np.nan, status="infeasible",
-                              ridge_applied=ridge)
+            return failed()
         sol = QpSolution(z=z, value=prob.objective(z), status="optimal", ridge_applied=ridge)
         _attach_kkt(sol, prob, np.zeros(prob.G.shape[0]))
         return sol
@@ -567,22 +608,21 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None):
         else:
             u_seed = uw
             if len(over) == 1 and warm_active is not None:
-                reduced = np.full(prob.G.shape[0], -1)
-                reduced[keep] = np.arange(keep.size)
-                rows = reduced[np.asarray(warm_active, dtype=int)]
-                repair = (int(over[0]), rows[(rows >= 0) & (rows != over[0])])
+                pos = np.full(prob.G.shape[0], -1)
+                pos[keep] = np.arange(keep.size)
+                act = pos[np.asarray(warm_active, dtype=int)]
+                repair = (int(over[0]), act[(act >= 0) & (act != over[0])],
+                          tuple(a[rows[keep]] for a in red.lifted))
     if u_start is None:
         if Gn.shape[0]:
             u_start, st, start = _phase_one(Gn, hn, u_seed, cap, repair)
             if u_start is None:
-                return QpSolution(z=np.full(n, np.nan), value=np.nan,
-                                  status="infeasible" if st == "infeasible" else st,
-                                  ridge_applied=ridge)
+                return failed(st)
         else:
             u_start = u_seed
 
     u, status, work, lam_w, iters, ray_u = _active_set_core(
-        Qu, cu, Gn, hn, u_start, cap, start, None if start is None else repair[0])
+        red.Qu, red.cu, Gn, hn, u_start, cap, start, None if start is None else repair[0])
     z = z0 + N @ u
 
     if status == "iteration_limit" and not ridge and np.any(prob.Q):

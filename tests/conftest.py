@@ -33,6 +33,20 @@ def interior_point(system, min_slack=1e-6):
     return sol.z[:-1]
 
 
+def assert_same_solution(a, b):
+    """Two QP solutions agree bit for bit in every field a caller reads."""
+    assert a.status == b.status
+    assert a.z.tobytes() == b.z.tobytes()
+    assert np.array([a.value, a.kkt_residual]).tobytes() == \
+        np.array([b.value, b.kkt_residual]).tobytes()
+    assert a.active_set == b.active_set
+    assert a.n_iterations == b.n_iterations
+    assert a.ridge_applied == b.ridge_applied
+    for x, y in ((a.ineq_multipliers, b.ineq_multipliers), (a.eq_multipliers, b.eq_multipliers)):
+        assert (x is None) == (y is None)
+        assert x is None or x.tobytes() == y.tobytes()
+
+
 def make_instance(rng, S, W, H, box_hi=4.0):
     """Generic random instance on the box [0, box_hi]^(W x H)."""
     E = rng.uniform(0.2, 2.0, size=(S, W, H))

@@ -31,3 +31,5 @@ def test_tracer_wraps_every_hook_and_counts_phase_one(monkeypatch):
     assert tr.counts["subqp.solve_qp.bnb.phase1_iters"] > 0
     assert tr.counts["subqp.solve_qp.price_complex.phase1_iters"] > 0
     assert tr.counts["subqp.solve_qp.bnb.iters"] > 0
+    # every node QP goes through the module-global name the tracer wraps
+    assert layers["subqp.solve_qp.bnb"]["calls"] == tr.counts["bnb.nodes"]

@@ -30,7 +30,7 @@ from tariff_complex import (
     solve_quad,
 )
 from tariff_complex import bnb, price_complex, subqp
-from conftest import line_instance, make_instance, tie_instance
+from conftest import assert_same_solution, line_instance, make_instance, tie_instance
 
 
 def test_bigm_worked_box_example():
@@ -517,6 +517,74 @@ def test_warm_child_solve_agrees_with_cold(model, S, W, seed, path):
         kid, *_ = _warm_and_cold(prog, parent, lo, hi, choice, 0)
     assert kid.status == "infeasible"
     assert repairs[before] and all(starts)
+
+
+def _tree_and_one_shot(prog, tree, lo, hi, **warm):
+    """The node QP solved on the tree's reduction and reduced alone; both
+    must agree bit for bit."""
+    m = prog.qp.G.shape[0]
+    idx, _ = bnb._node_rows(prog, lo, hi)
+    prob = bnb._node_problem(prog, lo, hi)
+    sol = subqp.solve_qp(prob, reduced=(tree, np.concatenate([np.arange(m), m + idx])), **warm)
+    assert_same_solution(sol, subqp.solve_qp(prob, **warm))
+    return sol
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=st.sampled_from(["det", "quad"]), S=st.integers(2, 5), W=st.integers(2, 3),
+       seed=st.integers(0, 2**31 - 1),
+       path=st.lists(st.integers(0, 1), min_size=1, max_size=4))
+def test_tree_reduced_node_solve_matches_one_shot(model, S, W, seed, path):
+    # a tree reduces its program once with every row a node may append; down
+    # a random path of most-fractional branches, each warm child (and the
+    # cold root) must solve as if its node QP were reduced alone
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
+    prog, mm = _program(inst, model)
+    tree = bnb._tree_reduction(prog)
+    lo = np.zeros(prog.bin_idx.size, dtype=np.int8)
+    hi = np.ones_like(lo)
+    parent = _tree_and_one_shot(prog, tree, lo, hi)
+    for side in path:
+        if parent.status != "optimal":
+            break
+        j, frac = _most_fractional(prog, mm, parent.z, lo, hi)
+        if frac <= 1e-6:
+            break
+        active = prog.child_rows(parent.active_set, lo, hi, j)
+        lo, hi = lo.copy(), hi.copy()
+        lo[j] = hi[j] = side
+        parent = _tree_and_one_shot(prog, tree, lo, hi, warm_start=parent.z,
+                                    warm_active=active)
+
+    # the PSD check runs once per tree, on the tree's reduction
+    bad = dataclasses.replace(prog, qp=dataclasses.replace(prog.qp, Q=-np.eye(prog.qp.n)))
+    with pytest.raises(ValueError):
+        bnb._tree_reduction(bad)
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_det_matches_scipy_milp_beyond_enumeration(g):
+    # at 8/3 the pure patterns are too many to enumerate; scipy's MILP solver
+    # on the same big-M program is the reference instead
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    inst = generate(GeneratorConfig(S=8, n_company_contracts=3, seed=g))
+    prog = bnb._bigm_program(inst, bigm_det(inst))
+    qp = prog.qp
+    lb, ub = np.full(qp.n, -np.inf), np.full(qp.n, np.inf)
+    lb[prog.bin_idx], ub[prog.bin_idx] = 0.0, 1.0
+    integrality = np.zeros(qp.n)
+    integrality[prog.bin_idx] = 1
+    ref = milp(qp.c, integrality=integrality, bounds=Bounds(lb, ub),
+               constraints=[LinearConstraint(qp.G, -np.inf, qp.h),
+                            LinearConstraint(qp.A, qp.b, qp.b)])
+    assert ref.status == 0
+    best = -ref.fun
+    rep = solve_det(inst)
+    tol = 1e-6 * max(1.0, abs(best))
+    assert rep.status == "optimal"
+    assert abs(rep.objective - best) <= tol
+    assert rep.bound >= best - tol
 
 
 def _loop_bigm(inst, bs=None):

@@ -1,14 +1,17 @@
 """Active-set QP/LP solver and simplex projection, checked against scipy."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from tariff_complex import QpProblem, find_feasible_point, project_simplex, solve_qp
 from tariff_complex.subqp import (_factor_working_set, _independent_subset, _join_working_set,
-                                  _leave_working_set)
+                                  _leave_working_set, reduce_qp)
+from conftest import assert_same_solution
 
 
 def test_project_simplex_basic_points():
@@ -190,6 +193,12 @@ def _independent_subset_by_matrix_rank(G, cand, cap):
     return keep
 
 
+def _planted_sum(rows):
+    """The rows' exact sum, rounded once per entry, so the planted row lies
+    within half an ulp of their span."""
+    return np.array([math.fsum(col) for col in np.transpose(rows)])
+
+
 @st.composite
 def _rows_with_planted_dependencies(draw):
     n = draw(st.integers(1, 8))
@@ -203,7 +212,7 @@ def _rows_with_planted_dependencies(draw):
             rows.append(rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3)))
         elif kind == "sum":
             picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=4))
-            rows.append(np.sum([rows[j] for j in picks], axis=0))
+            rows.append(_planted_sum([rows[j] for j in picks]))
         else:
             j = draw(st.integers(0, len(rows) - 1))
             rows.append(rows[j].copy() if kind == "duplicate" else -rows[j])
@@ -213,8 +222,19 @@ def _rows_with_planted_dependencies(draw):
     return G, cand, cap
 
 
+# rows 0 and 1 of a falsifying draw, and row 3 planted as the sum of rows 0,
+# 1 and 2 = -1: summed left to right it lay 14 ulps off row 0, where the
+# exact smallest singular value of rows 0 and 3 (1.33e-17) exceeds
+# matrix_rank's tolerance (1.15e-17) and LAPACK's computed one (1.14e-17)
+# does not, so the two greedy picks split on roundoff; rounded once, the
+# planted sum is row 0
+_R0 = np.array([0.01257302210933933, -0.013210486329130189])
+_R1 = np.array([-0.535669373161111, 0.36159505490948474])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_rows_with_planted_dependencies())
+@example((np.array([_R0, _R1, -_R1, _planted_sum([_R0, _R1, -_R1])]), np.array([0, 3]), 2))
 def test_independent_subset_matches_matrix_rank_greedy(case):
     G, cand, cap = case
     assert _independent_subset(G, cand, cap) == _independent_subset_by_matrix_rank(G, cand, cap)
@@ -367,3 +387,40 @@ def test_row_removal_updates_the_factor(case):
         assert np.abs(Z @ Z.T - fresh @ fresh.T).max() <= 1e-10
         # the returned R is the remaining rows' (C' = Y R), column by column
         assert np.abs((R - Y.T @ G[work].T) / norms).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 6), k=st.integers(1, 4), eq=st.booleans(),
+       lp=st.booleans(), scale=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_reduced_rows_solve_matches_one_shot(n, m, k, eq, lp, scale, seed):
+    # a program reduced once with extra rows must solve each pick of its rows
+    # bit for bit as reducing the pick alone does: cold, and warm from a
+    # parent with one row fewer; extra rows up to 1e8 move the zero-row
+    # threshold past a binding row of norm ~1e-9, a row in A's span is
+    # zeroed, and the repaired row may be any row
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(1, n)) if eq else None
+    G = np.vstack([rng.normal(size=(m, n)), rng.normal(size=(1, n)) * 1e-9,
+                   rng.normal(size=(k, n)) * 10.0 ** scale, np.eye(n), -np.eye(n)])
+    if eq:
+        G[0] = 3.0 * A[0]
+    h = np.concatenate([rng.uniform(-1.0, 1.0, m), [0.0], rng.uniform(-1.0, 1.0, k),
+                        np.full(2 * n, 10.0)])
+    B = rng.normal(size=(n, n))
+    Q, c = (None if lp else B @ B.T), rng.normal(size=n)
+    red = reduce_qp(QpProblem(Q=Q, c=c, G=G, h=np.zeros(len(G)), A=A,
+                              b=None if A is None else [0.5]))
+    rows = np.sort(rng.choice(len(G) - 2 * n, size=rng.integers(1, m + k + 2), replace=False))
+    rows = np.concatenate([rows, np.arange(len(G) - 2 * n, len(G))])  # the box stays
+    at = int(rng.integers(0, len(rows) - 2 * n))  # the row the parent lacks
+
+    def prob(r):
+        return QpProblem(Q=Q, c=c, G=G[r], h=h[r], A=A, b=None if A is None else [0.5])
+
+    parent = solve_qp(prob(np.delete(rows, at)))
+    assert_same_solution(solve_qp(prob(rows), reduced=(red, rows)), solve_qp(prob(rows)))
+    if parent.status != "optimal":
+        return
+    kw = dict(warm_start=parent.z, warm_active=[i + (i >= at) for i in parent.active_set])
+    assert_same_solution(solve_qp(prob(rows), reduced=(red, rows), **kw),
+                         solve_qp(prob(rows), **kw))
