@@ -27,15 +27,17 @@ how a price vector is evaluated exactly, each indicator's value at a node
 point, and how an integral node point is closed.
 
 Node relaxations drop integrality and are convex, solved by the in-house
-active-set method.  Each tree reduces its program once, with every row a
-node may append (``_Program.node_G``), and each node QP takes its rows from
-that reduction, bit for bit as if it reduced its own problem.  A child is
-its parent's problem plus one row, so it starts from the parent's optimum
-and final working set (``active_set``, mapped to the child's rows: det node
-rows keep their positions, and a regularized child's pin rows after the new
-one move down by one); nodes carry row indices, never a factor.  The
-active-set method then repairs the one violated row instead of running a
-phase 1 over all rows and picking a fresh working set.  Search order is best
+active-set method.  A node is a fixing vector in ``fixed_z``'s format (-1
+free, else the pinned value).  Each tree reduces its program once, with
+every row a node may append (``_Program.node_G``), and each node QP takes
+its rows from that reduction, bit for bit as if it reduced its own problem.
+A child fixes one more indicator, which adds (det: tightens) one row, so it
+starts from the parent's optimum and final working set (``active_set``,
+mapped to the child's rows: det node rows keep their positions, and a
+regularized child's pin rows after the new one move down by one); nodes
+carry row indices, never a factor.  The active-set method then repairs the
+one violated row instead of running a phase 1 over all rows and picking a
+fresh working set.  Search order is best
 bound (ties FIFO), branching is on the most fractional indicator (ties
 lexicographic by (segment, option)).  A regularized indicator's value is the
 point of ``[y, 1 - s/M]`` nearest an integer, so its fractionality is
@@ -150,8 +152,7 @@ class SolveReport:
 
 @dataclass
 class _Node:
-    fixed_lo: np.ndarray  # per-indicator lower bounds (0/1)
-    fixed_hi: np.ndarray  # per-indicator upper bounds (0/1)
+    fixed: np.ndarray  # per indicator: -1 free, else pinned at 0 or 1
     warm: np.ndarray | None  # the parent's optimum
     active: list[int] | None  # the parent's final working set, in this node's rows
     parent_bound: float
@@ -175,30 +176,31 @@ class _Incumbent:
 class _Program:
     """Single-level big-M program ``min 1/2 v'Qv + c'v``, ``G v <= h``,
     ``A v = b`` over ``v = [x (W*H), mu (S), ybar (S*(W+1))]``.  ``bin_idx``
-    are the ``ybar`` columns, one per indicator.  ``pin_rows`` (regularized
-    only) is an (S*(W+1), 2) array of row indices: negated, row ``[k, 0]``
-    reads ``y_k <= 0`` and row ``[k, 1]`` reads ``s_k <= 0``, which pin
-    indicator k at 0 or 1.  ``node_G`` are the rows a node may append (see
-    ``_node_rows``): det, ``y_k`` and ``-y_k`` for indicator k at rows 2k
-    and 2k + 1; regularized, pin row ``[k, v]`` negated at row 2k + v."""
+    are the ``ybar`` columns, one per indicator.  A node is a fixing vector
+    (-1 free, else the pinned value), and ``node_G v <= node_h`` are the
+    rows it may append (``_node_rows``): row 2k pins indicator k at 0, row
+    2k + 1 pins it at 1; det ``y_k <= 0`` and ``-y_k <= -1``, regularized
+    ``y_k <= 0`` and ``s_k <= 0``.  A regularized node appends its pins; a
+    det node appends every row, bounded by ``free_h`` (``y_k <= 1``,
+    ``-y_k <= 0``) where it pins nothing."""
 
     qp: QpProblem
     bin_idx: np.ndarray
     x_shape: tuple[int, int]
     node_G: np.ndarray
-    pin_rows: np.ndarray | None = None
+    node_h: np.ndarray
+    free_h: np.ndarray | None = None
 
-    def child_rows(self, rows: list[int], lo: np.ndarray, hi: np.ndarray,
-                   j: int) -> list[int]:
+    def child_rows(self, rows: list[int], fixed: np.ndarray, j: int) -> list[int]:
         """A node's row indices in its child that also fixes indicator j.
 
         Det node rows keep their positions.  A regularized node appends one
         row per fixed indicator in indicator order, so the rows after the
         child's new row for j move down by one.
         """
-        if self.pin_rows is None:
+        if self.free_h is not None:
             return list(rows)
-        at = self.qp.G.shape[0] + int(np.count_nonzero(lo[:j] == hi[:j]))
+        at = self.qp.G.shape[0] + int(np.count_nonzero(fixed[:j] >= 0))
         return [i + (i >= at) for i in rows]
 
 
@@ -254,37 +256,38 @@ def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Pr
         Q = np.diag(qdiag)
     qp = QpProblem(Q=Q, c=c, G=np.vstack([G_box, Gs.reshape(-1, n)]),
                    h=np.concatenate([h_box, hs.ravel()]), A=A, b=np.ones(S))
-    pin_rows = None
     if bs is None:
         node_G = np.zeros((2 * n_bin, n))
         node_G[2 * k, iy] = 1.0
         node_G[2 * k + 1, iy] = -1.0
-    else:
-        first = G_box.shape[0] + rows * k
-        pin_rows = np.column_stack([first + 2, first])
-        node_G = -qp.G[pin_rows.ravel()]
-    return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), node_G=node_G, pin_rows=pin_rows)
+        return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), node_G=node_G,
+                        node_h=np.tile([0.0, -1.0], n_bin), free_h=np.tile([1.0, 0.0], n_bin))
+    first = G_box.shape[0] + rows * k
+    pins = np.column_stack([first + 2, first]).ravel()  # -y <= 0 and -s <= 0, negated
+    return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), node_G=-qp.G[pins], node_h=-qp.h[pins])
 
 
-def _node_rows(prog: _Program, lo: np.ndarray, hi: np.ndarray):
+def _node_rows(prog: _Program, fixed: np.ndarray):
     """The rows of ``prog.node_G`` a node appends, in order, and their bounds:
-    det, all (``y_k <= hi_k``, ``-y_k <= -lo_k``); regularized, one per fixed
-    indicator, its pin row negated (``y_k <= 0`` at 0, ``s_k <= 0`` at 1)."""
-    if prog.pin_rows is None:
-        h = np.zeros(2 * lo.size)
-        h[0::2] = hi
-        h[1::2] = -lo  # integer negation: a free binary's row reads +0.0, not -0.0
-        return np.arange(2 * lo.size), h
-    k = np.flatnonzero(lo == hi)
-    return 2 * k + lo[k], -prog.qp.h[prog.pin_rows[k, lo[k]]]
+    regularized, each fixed indicator's pin row; det, every row, at its
+    ``node_h`` bound where it pins the indicator and at ``free_h`` elsewhere."""
+    k = np.flatnonzero(fixed >= 0)
+    pins = 2 * k + fixed[k]
+    if prog.free_h is None:
+        return pins, prog.node_h[pins]
+    h = prog.free_h.copy()
+    h[pins] = prog.node_h[pins]
+    return np.arange(h.size), h
 
 
-def _node_problem(prog: _Program, lo: np.ndarray, hi: np.ndarray) -> QpProblem:
-    """The program with the node's rows appended."""
-    idx, h = _node_rows(prog, lo, hi)
-    qp = prog.qp
-    return QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, prog.node_G[idx]]),
-                     h=np.concatenate([qp.h, h]), A=qp.A, b=qp.b)
+def _node_problem(prog: _Program, fixed: np.ndarray) -> tuple[QpProblem, np.ndarray]:
+    """The program with the node's rows appended, and the indices of its rows
+    in the tree's program (``_tree_reduction``)."""
+    idx, h = _node_rows(prog, fixed)
+    qp, m = prog.qp, prog.qp.G.shape[0]
+    return (QpProblem(Q=qp.Q, c=qp.c, G=np.vstack([qp.G, prog.node_G[idx]]),
+                      h=np.concatenate([qp.h, h]), A=qp.A, b=qp.b),
+            np.concatenate([np.arange(m), m + idx]))
 
 
 def _tree_reduction(prog: _Program) -> Reduction | None:
@@ -322,7 +325,7 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
         return capped
 
     return _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
-                             *_parse_fixed(None, S, W))
+                             _parse_fixed(None, S, W))
 
 
 def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
@@ -340,7 +343,7 @@ def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
     z = np.asarray(fixed_z, dtype=np.int8).ravel()
     if z.size != prog.bin_idx.size or not np.all((z == 0) | (z == 1)):
         raise ValueError("fixed_z must be a binary S x (W+1) pattern")
-    sol = solve_qp(_node_problem(prog, z, z))
+    sol = solve_qp(_node_problem(prog, z)[0])
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
@@ -369,16 +372,16 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
     bs = bet.per_segment(S)
     mm = bigm or bigm_quad(inst, bet)
     prog = _bigm_program(inst, mm, bs)
-    fix_lo, fix_hi = _parse_fixed(fixed_z, S, W)
-    pinned_in = fix_lo.reshape(S, W + 1) == 1
-    pinned_out = fix_hi.reshape(S, W + 1) == 0
-    lower = prog.pin_rows[:, 1]  # -s <= 0, so s is the row's slack
-    G_low, h_low, m = prog.qp.G[lower], prog.qp.h[lower], mm.per_indicator()
+    fixed = _parse_fixed(fixed_z, S, W)
+    pinned_in = fixed.reshape(S, W + 1) == 1
+    pinned_out = fixed.reshape(S, W + 1) == 0
+    G_s, h_s, m = prog.node_G[1::2], prog.node_h[1::2], mm.per_indicator()  # s_k <= 0
 
     def indicators(v, node):
         # z may lie anywhere in [y, 1 - s/M]: take the point nearest an integer
-        y, s_m = v[prog.bin_idx], (h_low - G_low @ v) / m
-        return np.clip(np.where(y <= s_m, y, 1.0 - s_m), node.fixed_lo, node.fixed_hi)
+        y, s_m = v[prog.bin_idx], (G_s @ v - h_s) / m
+        z = np.clip(np.where(y <= s_m, y, 1.0 - s_m), 0, 1)
+        return np.where(node.fixed < 0, z, node.fixed)
 
     def offer(x, incumbent):
         resp, detail = quad_response(inst, x, bet)
@@ -405,38 +408,36 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
         return capped
 
     return _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
-                             fix_lo, fix_hi, warm_incumbent)
+                             fixed, warm_incumbent)
 
 
 def _parse_fixed(fixed_z, S, W):
-    """Per-indicator bounds (lo, hi) from an (S, W+1) array of -1 (free), 0, 1."""
+    """The root's fixing vector (int8, -1 free) from an (S, W+1) array of -1, 0, 1."""
     if fixed_z is None:
-        return np.zeros(S * (W + 1), dtype=np.int8), np.ones(S * (W + 1), dtype=np.int8)
+        return np.full(S * (W + 1), -1, dtype=np.int8)
     z = np.asarray(fixed_z)
     if z.shape != (S, W + 1):
         raise ValueError(f"fixed_z has shape {z.shape}, expected {(S, W + 1)}")
     if not np.isin(z, (-1, 0, 1)).all():
         raise ValueError("fixed_z entries must be -1 (free), 0 or 1")
-    z = z.ravel()
-    return (z == 1).astype(np.int8), (z != 0).astype(np.int8)
+    return z.astype(np.int8).ravel()
 
 
 def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
-                      fix_lo, fix_hi, warm_incumbent=None):
-    """Best-bound search over ``prog``'s indicators.  ``indicators(v, node)``
+                      fixed, warm_incumbent=None):
+    """Best-bound search over ``prog``'s indicators from the root fixing
+    vector ``fixed`` (-1 free, else the pinned value).  ``indicators(v, node)``
     gives each indicator's value at the node point ``v``;
     ``offer(x, incumbent)`` evaluates prices exactly and offers them to the
     incumbent; ``leaf_value(v, zb, incumbent)`` closes an integral node
     point and says whether its cell solve stopped at the iteration cap."""
     nx = prog.x_shape[0] * prog.x_shape[1]
-    tree, m = _tree_reduction(prog), prog.qp.G.shape[0]
+    tree = _tree_reduction(prog)
     incumbent = _Incumbent()
     if warm_incumbent is not None:
         offer(np.asarray(warm_incumbent, dtype=float), incumbent)
 
-    root = _Node(fixed_lo=fix_lo.copy(), fixed_hi=fix_hi.copy(), warm=None, active=None,
-                 parent_bound=np.inf)
-    heap = [(-np.inf, 0, root)]
+    heap = [(-np.inf, 0, _Node(fixed=fixed, warm=None, active=None, parent_bound=np.inf))]
     seq = 1
     node_count = 0
     trace: list[dict] = []
@@ -469,10 +470,8 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
             break
 
         node_count += 1
-        idx, _ = _node_rows(prog, node.fixed_lo, node.fixed_hi)
-        sol = solve_qp(_node_problem(prog, node.fixed_lo, node.fixed_hi),
-                       warm_start=node.warm, warm_active=node.active,
-                       reduced=(tree, np.concatenate([np.arange(m), m + idx])))
+        prob, rows = _node_problem(prog, node.fixed)
+        sol = solve_qp(prob, warm_start=node.warm, warm_active=node.active, reduced=(tree, rows))
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
@@ -491,7 +490,7 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
         offer(sol.z[:nx].reshape(prog.x_shape), incumbent)
         zb = indicators(sol.z, node)
         frac = np.minimum(zb - np.floor(zb + _INT_TOL), np.ceil(zb - _INT_TOL) - zb)
-        free = node.fixed_lo != node.fixed_hi
+        free = node.fixed < 0
         frac = np.where(free, np.maximum(frac, 0.0), 0.0)
         if capped and free.any() and float(frac.max()) <= _INT_TOL:
             # an integral capped point does not close the node: split the first
@@ -502,13 +501,11 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
             kind = "leaf"
         else:
             j = int(np.argmax(frac))  # first max = lexicographic (s, w) tie-break
-            active = prog.child_rows(sol.active_set, node.fixed_lo, node.fixed_hi, j)
+            active = prog.child_rows(sol.active_set, node.fixed, j)
             for v in (0, 1):
-                lo = node.fixed_lo.copy()
-                hi = node.fixed_hi.copy()
-                lo[j] = hi[j] = v
-                child = _Node(fixed_lo=lo, fixed_hi=hi, warm=sol.z.copy(), active=active,
-                              parent_bound=bound)
+                fixed = node.fixed.copy()
+                fixed[j] = v
+                child = _Node(fixed=fixed, warm=sol.z, active=active, parent_bound=bound)
                 heapq.heappush(heap, (-bound, seq, child))
                 seq += 1
             kind = "branch"

@@ -557,8 +557,10 @@ def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
     reduced here.  Unbounded problems are reported with a certifying ray,
     never silently clamped.  The iteration cap is ``50 (n + m) + 50`` for n
     free variables after the equalities are eliminated and m non-constant
-    rows.  Hitting it triggers one ridge-regularized retry (Q + 1e-12 I,
-    flagged) when Q is nonzero.
+    rows; a solve that hits it returns its last iterate with status
+    ``iteration_limit``.  An optimum whose KKT residual exceeds 1e-7 when Q
+    is nonzero triggers one ridge-regularized retry (Q + 1e-12 I, flagged as
+    ``ridge_applied``), kept when it solves with a smaller residual.
     """
     return _solve_qp_inner(prob, warm_start, ridge=False, warm_active=warm_active,
                            reduced=reduced)
@@ -624,12 +626,6 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     u, status, work, lam_w, iters, ray_u = _active_set_core(
         red.Qu, red.cu, Gn, hn, u_start, cap, start, None if start is None else repair[0])
     z = z0 + N @ u
-
-    if status == "iteration_limit" and not ridge and np.any(prob.Q):
-        sol = _solve_qp_inner(prob, z, ridge=True)
-        sol.ridge_applied = True
-        sol.n_iterations += iters
-        return sol
 
     if status == "unbounded":
         return QpSolution(z=z, value=-np.inf, status="unbounded", n_iterations=iters,

@@ -434,33 +434,38 @@ def _program(inst, model):
     return bnb._bigm_program(inst, mm, Beta(0.05).per_segment(inst.S)), mm
 
 
-def _most_fractional(prog, mm, v, lo, hi):
+def _most_fractional(prog, mm, v, fixed):
     """The free indicator farthest from integral at v, as solve_det and
     solve_quad measure it, and that distance."""
     y = v[prog.bin_idx]
-    if prog.pin_rows is None:
+    if prog.free_h is not None:
         frac = np.minimum(y, 1.0 - y)
-    else:
-        low = prog.pin_rows[:, 1]
-        frac = np.minimum(y, (prog.qp.h[low] - prog.qp.G[low] @ v) / mm.per_indicator())
-    frac = np.where(lo != hi, frac, 0.0)
+    else:  # node rows 2k + 1 read s_k <= 0
+        frac = np.minimum(y, (prog.node_G[1::2] @ v - prog.node_h[1::2]) / mm.per_indicator())
+    frac = np.where(fixed < 0, frac, 0.0)
     return int(np.argmax(frac)), float(frac.max())
 
 
-def _warm_and_cold(prog, parent, lo, hi, j, v):
-    """The child of (lo, hi) that fixes indicator j at v, solved from the
-    parent's optimum and working set and solved cold; both must agree."""
-    rows = prog.child_rows(parent.active_set, lo, hi, j)
-    lo, hi = lo.copy(), hi.copy()
-    lo[j] = hi[j] = v
-    prob = bnb._node_problem(prog, lo, hi)
+def _child(fixed, j, v):
+    fixed = fixed.copy()
+    fixed[j] = v
+    return fixed
+
+
+def _warm_and_cold(prog, parent, fixed, j, v):
+    """The child of the fixing vector that fixes indicator j at v, solved
+    from the parent's optimum and working set and solved cold; both must
+    agree."""
+    rows = prog.child_rows(parent.active_set, fixed, j)
+    fixed = _child(fixed, j, v)
+    prob, _ = bnb._node_problem(prog, fixed)
     warm = subqp.solve_qp(prob, warm_start=parent.z, warm_active=rows)
     cold = subqp.solve_qp(prob)
     assert warm.status == cold.status
     assert warm.status in ("optimal", "infeasible")
     if cold.status == "optimal":
         assert abs(warm.value - cold.value) <= 1e-7 * max(1.0, abs(cold.value))
-    return warm, lo, hi
+    return warm, fixed
 
 
 @settings(max_examples=12, deadline=None)
@@ -490,16 +495,15 @@ def test_warm_child_solve_agrees_with_cold(model, S, W, seed, path):
         mp.setattr(subqp, "_active_set_core", core)
         mp.setattr(subqp, "_phase_one", phase_one)
         prog, mm = _program(inst, model)
-        lo = np.zeros(prog.bin_idx.size, dtype=np.int8)
-        hi = np.ones_like(lo)
-        parent = subqp.solve_qp(bnb._node_problem(prog, lo, hi))
+        fixed = np.full(prog.bin_idx.size, -1, dtype=np.int8)
+        parent = subqp.solve_qp(bnb._node_problem(prog, fixed)[0])
         assert parent.status == "optimal"
         for side in path:
-            j, frac = _most_fractional(prog, mm, parent.z, lo, hi)
+            j, frac = _most_fractional(prog, mm, parent.z, fixed)
             if frac <= 1e-6:
                 break
-            kids = [_warm_and_cold(prog, parent, lo, hi, j, v) for v in (0, 1)]
-            parent, lo, hi = kids[side]
+            kids = [_warm_and_cold(prog, parent, fixed, j, v) for v in (0, 1)]
+            parent, fixed = kids[side]
             if parent.status != "optimal":
                 break
 
@@ -507,25 +511,22 @@ def test_warm_child_solve_agrees_with_cold(model, S, W, seed, path):
         # midpoint, a feasible node; pinning that one out too leaves none
         prog, _ = _program(inst, "det")
         choice = int(np.argmin(inst.disutilities(inst.polytope.midpoint())[0]))
-        lo = np.zeros(prog.bin_idx.size, dtype=np.int8)
-        hi = np.ones_like(lo)
-        hi[:W + 1] = 0
-        hi[choice] = 1
-        parent = subqp.solve_qp(bnb._node_problem(prog, lo, hi))
+        fixed = np.full(prog.bin_idx.size, -1, dtype=np.int8)
+        fixed[:W + 1] = 0
+        fixed[choice] = -1
+        parent = subqp.solve_qp(bnb._node_problem(prog, fixed)[0])
         assert parent.status == "optimal"
         before = len(repairs)
-        kid, *_ = _warm_and_cold(prog, parent, lo, hi, choice, 0)
+        kid, _ = _warm_and_cold(prog, parent, fixed, choice, 0)
     assert kid.status == "infeasible"
     assert repairs[before] and all(starts)
 
 
-def _tree_and_one_shot(prog, tree, lo, hi, **warm):
+def _tree_and_one_shot(prog, tree, fixed, **warm):
     """The node QP solved on the tree's reduction and reduced alone; both
     must agree bit for bit."""
-    m = prog.qp.G.shape[0]
-    idx, _ = bnb._node_rows(prog, lo, hi)
-    prob = bnb._node_problem(prog, lo, hi)
-    sol = subqp.solve_qp(prob, reduced=(tree, np.concatenate([np.arange(m), m + idx])), **warm)
+    prob, rows = bnb._node_problem(prog, fixed)
+    sol = subqp.solve_qp(prob, reduced=(tree, rows), **warm)
     assert_same_solution(sol, subqp.solve_qp(prob, **warm))
     return sol
 
@@ -541,25 +542,49 @@ def test_tree_reduced_node_solve_matches_one_shot(model, S, W, seed, path):
     inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
     prog, mm = _program(inst, model)
     tree = bnb._tree_reduction(prog)
-    lo = np.zeros(prog.bin_idx.size, dtype=np.int8)
-    hi = np.ones_like(lo)
-    parent = _tree_and_one_shot(prog, tree, lo, hi)
+    fixed = np.full(prog.bin_idx.size, -1, dtype=np.int8)
+    parent = _tree_and_one_shot(prog, tree, fixed)
     for side in path:
         if parent.status != "optimal":
             break
-        j, frac = _most_fractional(prog, mm, parent.z, lo, hi)
+        j, frac = _most_fractional(prog, mm, parent.z, fixed)
         if frac <= 1e-6:
             break
-        active = prog.child_rows(parent.active_set, lo, hi, j)
-        lo, hi = lo.copy(), hi.copy()
-        lo[j] = hi[j] = side
-        parent = _tree_and_one_shot(prog, tree, lo, hi, warm_start=parent.z,
+        active = prog.child_rows(parent.active_set, fixed, j)
+        fixed = _child(fixed, j, side)
+        parent = _tree_and_one_shot(prog, tree, fixed, warm_start=parent.z,
                                     warm_active=active)
 
     # the PSD check runs once per tree, on the tree's reduction
     bad = dataclasses.replace(prog, qp=dataclasses.replace(prog.qp, Q=-np.eye(prog.qp.n)))
     with pytest.raises(ValueError):
         bnb._tree_reduction(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["det", "quad"]), S=st.integers(2, 4), W=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_child_rows_map_parent_rows_onto_the_child(model, S, W, seed, data):
+    # child_rows carries a parent's working set into its child: every parent
+    # row must land on a child row with the same bytes in G and h, and the
+    # child's one other row (det: the row it tightens) is the new pin
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
+    prog, _ = _program(inst, model)
+    n_bin = prog.bin_idx.size
+    fixed = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=n_bin, max_size=n_bin)),
+                     dtype=np.int8)
+    fixed[data.draw(st.integers(0, n_bin - 1))] = -1
+    j = data.draw(st.sampled_from(np.flatnonzero(fixed < 0).tolist()))
+    v = data.draw(st.integers(0, 1))
+    parent, _ = bnb._node_problem(prog, fixed)
+    child, _ = bnb._node_problem(prog, _child(fixed, j, v))
+    rows = prog.child_rows(range(parent.G.shape[0]), fixed, j)
+    same = [_same_bytes(child.G[r], parent.G[i]) and _same_bytes(child.h[r], parent.h[i])
+            for i, r in enumerate(rows)]
+    other = sorted(set(range(child.G.shape[0])) - {r for r, ok in zip(rows, same) if ok})
+    assert len(other) == 1
+    assert _same_bytes(child.G[other[0]], prog.node_G[2 * j + v])
+    assert _same_bytes(child.h[other[0]], prog.node_h[2 * j + v])
 
 
 @pytest.mark.parametrize("g", range(4))
@@ -695,7 +720,7 @@ def _zfree_program(inst, mm, bs):
             np.diag(qdiag), bin_idx, pins)
 
 
-def _loop_pin_rows(pins, n, lo, hi):
+def _loop_pins(pins, n, lo, hi):
     """Reference: per fixed indicator, in indicator order, its pin row."""
     G, h = [np.zeros((0, n))], [np.zeros(0)]
     for k, (row0, row1) in enumerate(pins):
@@ -748,13 +773,13 @@ def test_bigm_program_matches_loop_reference(S, W, g):
             state = rng.integers(-1, 2, size=bin_idx.size)  # -1 free, else fixed
             lo = np.where(state == -1, 0, state).astype(np.int8)
             hi = np.where(state == -1, 1, state).astype(np.int8)
-            node = bnb._node_problem(prog, lo, hi)
+            node, _ = bnb._node_problem(prog, state)
             if beta is None:
                 G_bnd, h_bnd = _loop_bound_rows(bin_idx, c.size, lo, hi)
                 assert _same_bytes(node.G, np.vstack([G, G_bnd]))
                 assert _same_bytes(node.h, np.concatenate([h, h_bnd]))
             else:
-                G_pin, h_pin = _loop_pin_rows(pins, c.size, lo, hi)
+                G_pin, h_pin = _loop_pins(pins, c.size, lo, hi)
                 assert _same_bytes(node.G[:len(h)], G) and _same_bytes(node.h[:len(h)], h)
                 assert np.array_equal(node.G[len(h):], G_pin)
                 assert np.array_equal(node.h[len(h):], h_pin)
@@ -782,7 +807,7 @@ def test_zfree_node_qp_is_the_exact_projection(S, W, g):
         G_bnd, h_bnd = _loop_bound_rows(bin_idx, c.size, lo, hi)
         full = subqp.solve_qp(subqp.QpProblem(Q=Q, c=c, G=np.vstack([G, G_bnd]),
                                               h=np.concatenate([h, h_bnd]), A=A, b=b))
-        zfree = subqp.solve_qp(bnb._node_problem(prog, lo, hi))
+        zfree = subqp.solve_qp(bnb._node_problem(prog, state)[0])
         assert zfree.status == full.status
         assert full.status in ("optimal", "infeasible")
         if full.status == "optimal":

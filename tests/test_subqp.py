@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
-from tariff_complex import QpProblem, find_feasible_point, project_simplex, solve_qp
+from tariff_complex import QpProblem, find_feasible_point, project_simplex, solve_qp, subqp
 from tariff_complex.subqp import (_factor_working_set, _independent_subset, _join_working_set,
                                   _leave_working_set, reduce_qp)
 from conftest import assert_same_solution
@@ -139,6 +139,23 @@ def test_infeasible_and_unbounded_detection():
     assert sol.status == "unbounded"
     assert sol.ray is not None
     assert sol.ray @ free.c < 0
+
+
+def test_iteration_cap_is_reported_without_a_ridge_retry(monkeypatch):
+    # a QP that stops at its iteration cap says so; no ridge-regularized
+    # second solve hides the cap, even when Q is nonzero
+    real_core = subqp._active_set_core
+
+    def capped(*args, **kwargs):
+        u, _, work, lam, iters, ray = real_core(*args, **kwargs)
+        return u, "iteration_limit", work, lam, iters, ray
+
+    monkeypatch.setattr(subqp, "_active_set_core", capped)
+    n = 3
+    prob = QpProblem(Q=np.eye(n), c=-2.0 * np.ones(n), G=np.eye(n), h=np.ones(n))
+    sol = solve_qp(prob)
+    assert sol.status == "iteration_limit"
+    assert not sol.ridge_applied
 
 
 def test_warm_start_agrees_with_cold():
