@@ -318,7 +318,7 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
         # the limit cell of the one-hot pattern (``pure_assignment_lp``)
         resp = ResponseMatrix(np.eye(W + 1)[zb.reshape(S, W + 1).argmax(axis=1)])
         try:
-            x, val, capped = _solve_cell(inst, resp.support(), None, warm=v[:W * inst.H])
+            x, val, capped, _ = _solve_cell(inst, resp.support(), None, warm=v[:W * inst.H])
         except CellInfeasibleError:
             return False
         incumbent.offer(val, x, resp, resp.support())
@@ -401,7 +401,7 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
         if np.any(zv.sum(axis=1) == 0):
             return False
         try:
-            x, _, capped = _solve_cell(inst, Pattern(zv), bet, warm=v[:W * inst.H])
+            x, _, capped, _ = _solve_cell(inst, Pattern(zv), bet, warm=v[:W * inst.H])
         except CellInfeasibleError:
             return False
         offer(x, incumbent)

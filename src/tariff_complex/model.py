@@ -331,9 +331,19 @@ class Pattern:
         return np.flatnonzero(self.A[s])
 
     def flip(self, s: int, w: int) -> "Pattern":
-        A = np.array(self.A, copy=True)
+        """The pattern with option w of segment s toggled.
+
+        Only row s changes, so only its emptiness is checked; the entries
+        and the other rows are valid already.
+        """
+        A = self.A.copy()
         A[s, w] = 1 - A[s, w]
-        return Pattern(A)
+        if not A[s].any():
+            raise ValueError("pattern has an all-zero row (every segment responds)")
+        A.flags.writeable = False
+        out = object.__new__(Pattern)
+        object.__setattr__(out, "A", A)
+        return out
 
     def key(self) -> bytes:
         return self.A.tobytes()

@@ -117,13 +117,41 @@ def cell_system(inst: Instance, pattern: Pattern, beta) -> CellSystem:
     G = np.where(A[:, :, None], ag - g_sum[:, None, :], g_sum[:, None, :] - ag)
     h = np.where(A, (two_over[:, None] + ar) - r_sum[:, None],
                  (-two_over[:, None] + r_sum[:, None]) - ar)
-    keep = ~(A & (a == 1)).ravel()
+    keep = _kept(A)
     G_box, h_box = inst.polytope.rows()
     return CellSystem(
         pattern=pattern, beta=None if limit else beta,
         G=np.vstack([G.reshape(-1, inst.W * inst.H)[keep], G_box]),
         h=np.concatenate([h.ravel()[keep], h_box]),
         strict=np.concatenate([A.ravel()[keep], np.zeros(len(h_box), dtype=bool)]))
+
+
+def _kept(A: np.ndarray) -> np.ndarray:
+    """Which flat (segment, option) positions of the bool pattern ``A`` have
+    a row in :func:`cell_system`: all but a single active option's."""
+    return ~(A & (A.sum(axis=1) == 1)[:, None]).ravel()
+
+
+def _flip_rows(pattern: Pattern, s: int, w: int, rows) -> list[int]:
+    """``rows`` of ``pattern``'s :func:`cell_system`, as rows of the cell
+    system of ``pattern.flip(s, w)``, in order.
+
+    The flip rewrites segment s's rows, so those are dropped.  Every other
+    pattern row keeps its bytes and its (segment, option) position, which
+    moves by the change in the number of rows before it (segment s may gain
+    or lose the row left out for a single active option).  The price-polytope
+    rows shift by the change in the number of pattern rows.
+    """
+    A = pattern.A.astype(bool)
+    B = A.copy()
+    B[s, w] = not B[s, w]
+    keep_a, keep_b = _kept(A), _kept(B)
+    to_b = np.cumsum(keep_b) - 1
+    to_b[s * A.shape[1]:(s + 1) * A.shape[1]] = -1
+    to_b = to_b[keep_a]
+    shift = int(keep_b.sum()) - to_b.size
+    out = [int(to_b[r]) if r < to_b.size else r + shift for r in rows]
+    return [r for r in out if r >= 0]
 
 
 def _check_pattern(inst: Instance, pattern: Pattern) -> None:
@@ -223,23 +251,30 @@ def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
     at its iteration cap is returned as solved; :func:`_solve_cell` also
     says whether that happened.
     """
-    x, value, _ = _solve_cell(inst, pattern, beta, warm)
+    x, value, *_ = _solve_cell(inst, pattern, beta, warm)
     return x, value
 
 
 def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
-                warm: np.ndarray | None = None) -> tuple[np.ndarray, float, bool]:
-    """:func:`solve_cell` plus whether the cell QP stopped at its iteration cap."""
+                warm: np.ndarray | None = None, warm_active: list[int] | None = None
+                ) -> tuple[np.ndarray, float, bool, list[int]]:
+    """:func:`solve_cell` plus whether the cell QP stopped at its iteration
+    cap and its final working set, as rows of the cell system.
+
+    ``warm_active`` are independent rows of the cell system, such as a
+    neighbour cell's final working set at ``warm`` carried over by
+    :func:`_flip_rows`; :func:`subqp.solve_qp` starts from those tight there.
+    """
     qp = cell_qp(inst, pattern, beta)
     system = cell_system(inst, pattern, beta)
     prob = QpProblem(Q=-qp.Q, c=-qp.c, G=system.G, h=system.h)
-    sol = solve_qp(prob, warm_start=warm)
+    sol = solve_qp(prob, warm_start=warm, warm_active=warm_active)
     if sol.status == "infeasible":
         raise CellInfeasibleError(f"pattern {pattern.A.tolist()} has an empty cell")
     if sol.status not in ("optimal", "iteration_limit"):
         raise RuntimeError(f"cell solve failed with status {sol.status}")
     x = sol.z.reshape(inst.W, inst.H)
-    return x, qp.d - sol.value, sol.status == "iteration_limit"
+    return x, qp.d - sol.value, sol.status == "iteration_limit", sol.active_set
 
 
 def neighbors(inst: Instance, pattern: Pattern,
@@ -316,7 +351,7 @@ def quad_oracle(inst: Instance, beta, max_patterns: int | None = None) -> Oracle
     pats = _patterns(inst.S, np.eye(inst.W + 1)) if limit else enumerate_patterns(inst.S, inst.W)
     for pat in pats:
         try:
-            x, val, capped = _solve_cell(inst, pat, beta)
+            x, val, capped, _ = _solve_cell(inst, pat, beta)
         except CellInfeasibleError:
             continue
         best.n_feasible += 1

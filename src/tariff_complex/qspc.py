@@ -14,6 +14,15 @@ restricted programs take one path: the other indicators are pinned to
 ``A``, ``solve_quad`` runs from the incumbent, and its answer is re-anchored
 to its pattern's cell optimum and adopted only if it strictly improves.
 
+The state also keeps the final working set of the incumbent's cell QP.  A
+flip rewrites only its own segment's rows of the cell system, so the
+per-pattern scan solves each candidate cell from ``x_A`` and that working
+set less the flipped segment's rows, mapped onto the candidate's rows
+(:func:`price_complex._flip_rows`).  A warm start that violates one
+candidate row then takes a one-row repair, and one that violates none
+starts from the mapped rows tight there, instead of a cold phase 1 or a
+rank scan.
+
 All randomness flows through one generator seeded by ``rng_seed``; repeated
 runs are bit-identical.  Logged records carry no timings, so reports stay
 byte-stable (wall-clock goes to the logging stream only).
@@ -29,7 +38,10 @@ import numpy as np
 
 from .bnb import SolveReport, SolverOptions, solve_quad
 from .model import Instance, Pattern
-from .price_complex import CellInfeasibleError, neighbors, pattern_of, solve_cell
+from .price_complex import CellInfeasibleError, _flip_rows, neighbors, pattern_of
+# the cell solve that also returns the working set, under the name that
+# bench/tracer.py wraps as the cell-solve span
+from .price_complex import _solve_cell as solve_cell
 from .response import Beta, quad_response
 from .subqp import find_feasible_point
 
@@ -76,11 +88,18 @@ class QspcOptions:
 
 @dataclass
 class QspcState:
-    """Best pattern found so far with its cell optimum; phi never decreases."""
+    """Best pattern found so far with its cell optimum; phi never decreases.
+
+    ``active`` is the final working set of the cell QP at ``x``, as rows of
+    ``pattern``'s cell system (None: not known).  A scan or restart given
+    the state as ``counters`` reads it as the incumbent's, and leaves the
+    working set of the cell optimum it returns there.
+    """
 
     pattern: Pattern
     x: np.ndarray
     phi: float
+    active: list[int] | None = None
     r: int = 0
     log: list[dict] = field(default_factory=list)
     n_explore: int = 0
@@ -103,7 +122,9 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
 
     Returns the incumbent unchanged unless a candidate strictly improves.
     Candidate values tie-break on the lexicographically smallest pattern so
-    the result does not depend on evaluation order.
+    the result does not depend on evaluation order.  With the search state
+    as ``counters``, each candidate cell starts from the incumbent's working
+    set mapped onto its rows (:func:`_flip_rows`).
     """
     opts = opts or QspcOptions()
     bet = Beta.coerce(beta)
@@ -115,20 +136,25 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
         free[seg, opt] = True
         return _restricted_solve(inst, bet, A, free, x_A, phi_A, opts, counters)
 
-    best = None  # (phi, pattern key, pattern, x)
+    active = None if counters is None else counters.active
+    best = None  # ((-phi, pattern key), pattern, x, phi, working set)
     # all candidates before any cell solve: flips interleaved with the
     # solves took about 1.7x as long each
-    for cand in [A.flip(s, w) for s, w in zip(seg.tolist(), opt.tolist())]:
+    flips = [(s, w, A.flip(s, w)) for s, w in zip(seg.tolist(), opt.tolist())]
+    for s, w, cand in flips:
+        rows = None if active is None else _flip_rows(A, s, w, active)
         try:
-            x_c, phi_c = solve_cell(inst, cand, bet, warm=x_A)
+            x_c, phi_c, _, act_c = solve_cell(inst, cand, bet, warm=x_A, warm_active=rows)
         except CellInfeasibleError:
             if counters is not None:
                 counters.n_infeasible_neighbors += 1
             continue
         key = (-phi_c, cand.key())
         if best is None or key < best[0]:
-            best = (key, cand, x_c, phi_c)
+            best = (key, cand, x_c, phi_c, act_c)
     if best is not None and best[3] > phi_A + _EPS_ACCEPT:
+        if counters is not None:
+            counters.active = best[4]
         return best[1], best[2], best[3]
     return A, x_A, phi_A
 
@@ -151,10 +177,12 @@ def _restricted_solve(inst, bet, A, free, x_A, phi_A, opts, counters):
     if not rep.has_incumbent() or rep.pattern == A:
         return A, x_A, phi_A
     try:
-        x_n, phi_n = solve_cell(inst, rep.pattern, bet, warm=rep.x.ravel())
+        x_n, phi_n, _, act_n = solve_cell(inst, rep.pattern, bet, warm=rep.x.ravel())
     except CellInfeasibleError:
         return A, x_A, phi_A
     if phi_n > phi_A + _EPS_ACCEPT:
+        if counters is not None:
+            counters.active = act_n
         return rep.pattern, x_n, phi_n
     return A, x_A, phi_A
 
@@ -186,7 +214,7 @@ def miqp_restart(inst: Instance, beta: Beta | float, A: Pattern,
     free[:, cols] = True
     coin = rng.random((S, W + 1)) < opts.sigma
     free |= coin
-    x_A, phi_A = warm if warm is not None else solve_cell(inst, A, bet)
+    x_A, phi_A = warm if warm is not None else solve_cell(inst, A, bet)[:2]
     if not free.any():
         return A, x_A, phi_A
     if counters is not None:
@@ -216,8 +244,8 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
     t0 = time.perf_counter()
     x0 = _start_point(inst, start)
     A0 = pattern_of(inst, x0, bet)
-    x_A, phi_A = solve_cell(inst, A0, bet, warm=x0)
-    state = QspcState(pattern=A0, x=x_A, phi=phi_A)
+    x_A, phi_A, _, act = solve_cell(inst, A0, bet, warm=x0)
+    state = QspcState(pattern=A0, x=x_A, phi=phi_A, active=act)
     state.record("descent")
     rng = np.random.default_rng(opts.rng_seed)
 
@@ -243,6 +271,7 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
                     break
         if out_of_time():
             break
+        active = state.active
         A_r, x_r, phi_r = miqp_restart(inst, bet, state.pattern, left(), rng=rng,
                                        warm=(state.x, state.phi), counters=state)
         improved = phi_r > state.phi + _REL_IMPROVE * max(1.0, abs(state.phi))
@@ -250,6 +279,7 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
             state.pattern, state.x, state.phi = A_r, x_r, phi_r
             state.r = 0
         else:
+            state.active = active  # the restart's cell optimum is not adopted
             state.r += 1
         state.record("restart")
         log.info("restart phi=%.9g r=%d t=%.3f", state.phi, state.r,

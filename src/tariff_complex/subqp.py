@@ -19,7 +19,10 @@ and final working set of a problem with one row fewer (a branch-and-bound
 parent) skips that scan: phase 1 becomes a repair that relaxes the one
 violated row alone and starts from the given rows, and the main loop starts
 from the repair's final rows among them plus the new row, which joins unless
-they span it.  The working set is factorized by a Householder QR of its
+they span it.  A warm start that violates no row, given with rows such as a
+neighbour cell's final working set mapped onto this problem's rows, skips
+phase 1 and starts the main loop from those of the rows tight there.  The
+working set is factorized by a Householder QR of its
 rows' transpose: the trailing columns of the orthogonal factor span the null
 space for the step, and the leading block with R gives the multipliers
 (Nocedal & Wright, *Numerical Optimization*, ch. 16).  A row that joins the
@@ -550,7 +553,9 @@ def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
     start violates exactly one row, they turn phase 1 into a repair that
     relaxes that row alone and starts from the given rows still tight, and
     the main loop starts from the repair's final rows among them, plus the
-    violated row unless they span it.  Otherwise ``warm_active`` is ignored.
+    violated row unless they span it.  When it violates no row, the main
+    loop starts from the given rows tight there instead of a rank scan.
+    When it violates two or more, ``warm_active`` is ignored.
     ``reduced = (red, rows)`` skips the reduction: ``red`` is
     :func:`reduce_qp` of a program with prob's Q, c, A and b whose rows
     ``rows`` (any h) are prob's rows of G, in order.  Without it, prob is
@@ -605,15 +610,19 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     if warm_start is not None:
         uw = N.T @ (np.asarray(warm_start, dtype=float).ravel() - z0)
         over = np.flatnonzero(Gn @ uw - hn > 1e-9) if Gn.shape[0] else []
+        if warm_active is not None:
+            pos = np.full(prob.G.shape[0], -1)
+            pos[keep] = np.arange(keep.size)
+            act = pos[np.asarray(warm_active, dtype=int)]
+            act = act[act >= 0]
         if not len(over):
             u_start = uw
+            if warm_active is not None:
+                start = _tight(Gn, hn, uw, act)
         else:
             u_seed = uw
             if len(over) == 1 and warm_active is not None:
-                pos = np.full(prob.G.shape[0], -1)
-                pos[keep] = np.arange(keep.size)
-                act = pos[np.asarray(warm_active, dtype=int)]
-                repair = (int(over[0]), act[(act >= 0) & (act != over[0])],
+                repair = (int(over[0]), act[act != over[0]],
                           tuple(a[rows[keep]] for a in red.lifted))
     if u_start is None:
         if Gn.shape[0]:
@@ -624,7 +633,7 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
             u_start = u_seed
 
     u, status, work, lam_w, iters, ray_u = _active_set_core(
-        red.Qu, red.cu, Gn, hn, u_start, cap, start, None if start is None else repair[0])
+        red.Qu, red.cu, Gn, hn, u_start, cap, start, None if repair is None else repair[0])
     z = z0 + N @ u
 
     if status == "unbounded":

@@ -135,6 +135,16 @@ def test_pattern_validation_and_flip():
         Pattern(np.array([1, 0]))
 
 
+def test_flip_that_empties_a_row_raises():
+    # a flip skips the full validation, but not the emptiness of its row
+    pat = Pattern(np.array([[0, 1, 0], [1, 0, 1]]))
+    with pytest.raises(ValueError, match="all-zero row"):
+        pat.flip(0, 1)
+    flipped = pat.flip(1, 0)
+    assert flipped == Pattern(np.array([[0, 1, 0], [0, 0, 1]]))
+    assert flipped.A.dtype == np.int8 and not flipped.A.flags.writeable
+
+
 def test_response_matrix_support_and_checks():
     y = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
     resp = ResponseMatrix(y)

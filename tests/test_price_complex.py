@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tariff_complex import (
     Beta,
@@ -601,3 +603,83 @@ def test_flip_arrays_match_loop_reference():
     # the tie rule was exercised on exact ties and on ties up to roundoff (at
     # the box midpoint, generated contracts' disutilities differ by a few ulps)
     assert n_tied > 0 and n_near > 0
+
+
+def _row_segments(pattern, n_rows):
+    """Segment of each cell-system row, -1 for the price-polytope rows: a
+    segment has W + 1 rows, or W when one option alone is active."""
+    counts = np.where(pattern.row_sizes() == 1, pattern.n_options - 1, pattern.n_options)
+    seg = np.repeat(np.arange(pattern.S), counts)
+    return np.concatenate([seg, np.full(n_rows - seg.size, -1)])
+
+
+def _drawn_price(inst, data):
+    """A uniform draw from the price box, projected onto the price polytope."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(inst.polytope.lower, inst.polytope.upper).ravel()
+    G, h = inst.polytope.rows()
+    sol = solve_qp(QpProblem(Q=np.eye(x.size), c=-x, G=G, h=h))
+    return sol.z.reshape(inst.W, inst.H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([(5, 2), (6, 3)]), beta=st.sampled_from([0.05, 0.5, None]),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_flip_rows_carry_every_other_row_onto_the_neighbour(size, beta, seed, data):
+    # the search hands a neighbour cell the incumbent's working set through
+    # _flip_rows: every row outside the flipped segment must land on a row
+    # of the neighbour's system with the same bytes in G and h, and every
+    # neighbour row outside that segment must be one row's image
+    S, W = size
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
+    masks = data.draw(st.lists(st.integers(1, 2 ** (W + 1) - 1), min_size=S, max_size=S))
+    A = Pattern((np.array(masks)[:, None] >> np.arange(W + 1)) & 1)
+    sys_a = cell_system(inst, A, beta)
+    seg_a = _row_segments(A, sys_a.h.size)
+    seg, opt = neighbors(inst, A, _drawn_price(inst, data))
+    for s, w in zip(seg.tolist(), opt.tolist()):
+        B = A.flip(s, w)
+        sys_b = cell_system(inst, B, beta)
+        seg_b = _row_segments(B, sys_b.h.size)
+        images = []
+        for r in range(sys_a.h.size):
+            got = price_complex._flip_rows(A, s, w, [r])
+            if seg_a[r] == s:
+                assert got == []
+                continue
+            (j,) = got
+            assert seg_b[j] == seg_a[r] != s
+            assert sys_b.G[j].tobytes() == sys_a.G[r].tobytes()
+            assert sys_b.h[j].tobytes() == sys_a.h[r].tobytes()
+            images.append(j)
+        assert images == np.flatnonzero(seg_b != s).tolist()
+        assert price_complex._flip_rows(A, s, w, range(sys_a.h.size)) == images
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from([(5, 2), (6, 3)]), beta=st.sampled_from([0.05, 0.5]),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_warm_neighbour_cell_solves_agree_with_cold(size, beta, seed, data):
+    # a neighbour cell solved from the incumbent's optimum and mapped working
+    # set must find the cell empty exactly when a cold solve does, and the
+    # same optimal value
+    S, W = size
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
+    x0 = _drawn_price(inst, data)
+    A = pattern_of(inst, x0, beta)
+    x_A, _, _, active = price_complex._solve_cell(inst, A, beta, warm=x0)
+    seg, opt = neighbors(inst, A, x_A)
+    for s, w in zip(seg.tolist(), opt.tolist()):
+        cand = A.flip(s, w)
+        try:
+            _, cold = solve_cell(inst, cand, beta)
+        except CellInfeasibleError:
+            cold = None
+        try:
+            _, warm, _, _ = price_complex._solve_cell(
+                inst, cand, beta, warm=x_A, warm_active=price_complex._flip_rows(A, s, w, active))
+        except CellInfeasibleError:
+            warm = None
+        assert (warm is None) == (cold is None)
+        if cold is not None:
+            assert abs(warm - cold) <= 1e-7 * max(1.0, abs(cold))
