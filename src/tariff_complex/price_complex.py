@@ -16,6 +16,15 @@ in the deterministic model, where active options tie at the segment minimum.
 Every beta here may be None (or math.inf) for that limit: ``cell_system``,
 ``cell_qp`` and ``solve_cell`` (pure patterns, linear profit) and
 ``quad_oracle``, which then walks the pure patterns as the deterministic oracle.
+
+A segment's rows and profit terms depend on its own pattern row alone, so
+both are built per segment, batched over any stack of pattern rows
+(``_segment_rows``, ``_segment_terms``).  ``cell_system`` and ``cell_qp``
+run that over one pattern's segments.  A :class:`NeighborScan` runs it once
+over a pattern's segments and each one-flip candidate's new segment, and
+reduces the union of their rows once (:func:`subqp.reduce_rows`); each
+candidate's solve then takes its own rows and its own objective, and its
+arrays are byte-identical to the ones ``cell_system`` and ``cell_qp`` give.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from .model import EPS_ACTIVE, EPS_FEAS, Instance, Pattern
 from .response import Beta, quad_response
-from .subqp import QpProblem, find_feasible_point, solve_qp
+from .subqp import QpProblem, find_feasible_point, reduce_rows, solve_qp
 
 
 class CellInfeasibleError(ValueError):
@@ -108,15 +117,8 @@ def cell_system(inst: Instance, pattern: Pattern, beta) -> CellSystem:
     _check_pattern(inst, pattern)
     limit = _is_limit(beta)
     two_over = np.zeros(inst.S) if limit else 2.0 / Beta.coerce(beta).per_segment(inst.S)
-    g, r = _option_arrays(inst)
     A = pattern.A.astype(bool)
-    a = A.sum(axis=1)[:, None]
-    g_sum, r_sum = _active_sums(A, g, r)
-    ag, ar = a[:, :, None] * g, a * r
-    # active: a V_w - sum_act V <= 2/beta; inactive: sum_act V - a V_w <= -2/beta
-    G = np.where(A[:, :, None], ag - g_sum[:, None, :], g_sum[:, None, :] - ag)
-    h = np.where(A, (two_over[:, None] + ar) - r_sum[:, None],
-                 (-two_over[:, None] + r_sum[:, None]) - ar)
+    G, h = _segment_rows(*_option_arrays(inst), A, np.arange(inst.S), two_over)
     keep = _kept(A)
     G_box, h_box = inst.polytope.rows()
     return CellSystem(
@@ -126,32 +128,29 @@ def cell_system(inst: Instance, pattern: Pattern, beta) -> CellSystem:
         strict=np.concatenate([A.ravel()[keep], np.zeros(len(h_box), dtype=bool)]))
 
 
+def _segment_rows(g: np.ndarray, r: np.ndarray, A: np.ndarray, segs: np.ndarray,
+                  two_over: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell rows of pattern rows: row i of the bool ``A`` (k, W+1) is a
+    pattern row of segment ``segs[i]``.  Returns G (k, W+1, n) and h
+    (k, W+1), one row per option, the single active option's included.
+
+    Every operation is elementwise per pattern row, so a row's arrays are
+    byte-identical however many rows are stacked with it.
+    """
+    g, r, t = g[segs], r[segs], two_over[segs]
+    a = A.sum(axis=1)[:, None]
+    g_sum, r_sum = _active_sums(A, g, r)
+    ag, ar = a[:, :, None] * g, a * r
+    # active: a V_w - sum_act V <= 2/beta; inactive: sum_act V - a V_w <= -2/beta
+    G = np.where(A[:, :, None], ag - g_sum[:, None, :], g_sum[:, None, :] - ag)
+    h = np.where(A, (t[:, None] + ar) - r_sum[:, None], (-t[:, None] + r_sum[:, None]) - ar)
+    return G, h
+
+
 def _kept(A: np.ndarray) -> np.ndarray:
     """Which flat (segment, option) positions of the bool pattern ``A`` have
     a row in :func:`cell_system`: all but a single active option's."""
     return ~(A & (A.sum(axis=1) == 1)[:, None]).ravel()
-
-
-def _flip_rows(pattern: Pattern, s: int, w: int, rows) -> list[int]:
-    """``rows`` of ``pattern``'s :func:`cell_system`, as rows of the cell
-    system of ``pattern.flip(s, w)``, in order.
-
-    The flip rewrites segment s's rows, so those are dropped.  Every other
-    pattern row keeps its bytes and its (segment, option) position, which
-    moves by the change in the number of rows before it (segment s may gain
-    or lose the row left out for a single active option).  The price-polytope
-    rows shift by the change in the number of pattern rows.
-    """
-    A = pattern.A.astype(bool)
-    B = A.copy()
-    B[s, w] = not B[s, w]
-    keep_a, keep_b = _kept(A), _kept(B)
-    to_b = np.cumsum(keep_b) - 1
-    to_b[s * A.shape[1]:(s + 1) * A.shape[1]] = -1
-    to_b = to_b[keep_a]
-    shift = int(keep_b.sum()) - to_b.size
-    out = [int(to_b[r]) if r < to_b.size else r + shift for r in rows]
-    return [r for r in out if r >= 0]
 
 
 def _check_pattern(inst: Instance, pattern: Pattern) -> None:
@@ -211,9 +210,8 @@ def cell_qp(inst: Instance, pattern: Pattern, beta: Beta | float | None) -> Cell
     _check_pattern(inst, pattern)
     g, r = _option_arrays(inst)
     A = pattern.A.astype(bool)
-    a = A.sum(axis=1)
     if _is_limit(beta):
-        if np.any(a != 1):
+        if np.any(A.sum(axis=1) != 1):
             raise ValueError("the limit cell's profit needs a pure pattern")
         seg, opt = np.nonzero(A)
         cost = np.concatenate([np.zeros((inst.S, 1)), inst.C], axis=1)[seg, opt]
@@ -221,22 +219,52 @@ def cell_qp(inst: Instance, pattern: Pattern, beta: Beta | float | None) -> Cell
                       c=_in_order(inst.rho[:, None] * g[seg, opt]),
                       d=float(_in_order(-(inst.rho * cost))))
     b = Beta.coerce(beta).per_segment(inst.S)
-    g_sum, r_sum = _active_sums(A, g, r)
+    Q, c, d = _slot_sums(*_segment_terms(inst, g, r, A, np.arange(inst.S), b))
+    return CellQP(pattern=pattern, Q=Q, c=c, d=d)
+
+
+def _slot_sums(Q: np.ndarray, c: np.ndarray,
+               d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Q, c and d of one pattern from its segments' :func:`_segment_terms`,
+    summed in (segment, contract) order."""
+    n = c.shape[-1]
+    return (_in_order(Q.reshape(-1, n, n)), _in_order(c.reshape(-1, n)),
+            float(_in_order(d.ravel())))
+
+
+def _segment_terms(inst: Instance, g: np.ndarray, r: np.ndarray, A: np.ndarray,
+                   segs: np.ndarray, b: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`cell_qp`'s profit terms of pattern rows: row i of the bool
+    ``A`` (k, W+1) is a pattern row of segment ``segs[i]``, at strengths
+    ``b`` (per segment).
+
+    Returns the Q, c and d terms in slots (k, W, ...), one per contract,
+    zero where it is inactive.  Summed in slot order with :func:`_in_order`,
+    the zeros change no bit (a sum that starts from +0.0 is never -0.0), so
+    any rows' slots sum to the terms of their active contracts alone.  Like
+    :func:`_segment_rows`, elementwise per pattern row.
+    """
+    k, W, n = A.shape[0], inst.W, g.shape[2]
+    g_sum, r_sum = _active_sums(A, g[segs], r[segs])
+    a = A.sum(axis=1)
     # level line c_s(x) = (2/beta + sum_act V)/a
     g_lvl = g_sum / a[:, None]
-    d_lvl = (2.0 / b - r_sum) / a
-    coef = inst.rho * b / 2.0
+    d_lvl = (2.0 / b[segs] - r_sum) / a
+    coef = inst.rho[segs] * b[segs] / 2.0
     # one term (V_w + k_w)(c_s - V_w) per active contract, both factors affine
-    s, w = np.nonzero(A[:, 1:])
+    i, w = np.nonzero(A[:, 1:])
+    s = segs[i]
     u, d_v = g[s, w + 1], -r[s, w + 1]
     au = d_v + (inst.R[s, w] - inst.C[s, w])
-    v, av = g_lvl[s] - u, d_lvl[s] - d_v
-    cf = coef[s]
+    v, av = g_lvl[i] - u, d_lvl[i] - d_v
+    cf = coef[i]
     uv = u[:, :, None] * v[:, None, :]
-    Q = _in_order(cf[:, None, None] * (uv + uv.swapaxes(1, 2)))
-    c = _in_order(cf[:, None] * (au[:, None] * v + av[:, None] * u))
-    d = float(_in_order(cf * au * av))
-    return CellQP(pattern=pattern, Q=Q, c=c, d=d)
+    Q, c, d = np.zeros((k, W, n, n)), np.zeros((k, W, n)), np.zeros((k, W))
+    Q[i, w] = cf[:, None, None] * (uv + uv.swapaxes(1, 2))
+    c[i, w] = cf[:, None] * (au[:, None] * v + av[:, None] * u)
+    d[i, w] = cf * au * av
+    return Q, c, d
 
 
 def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
@@ -256,25 +284,93 @@ def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
 
 
 def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
-                warm: np.ndarray | None = None, warm_active: list[int] | None = None
-                ) -> tuple[np.ndarray, float, bool, list[int]]:
+                warm: np.ndarray | None = None, warm_active: list[int] | None = None,
+                cell: tuple | None = None) -> tuple[np.ndarray, float, bool, list[int]]:
     """:func:`solve_cell` plus whether the cell QP stopped at its iteration
     cap and its final working set, as rows of the cell system.
 
     ``warm_active`` are independent rows of the cell system, such as a
     neighbour cell's final working set at ``warm`` carried over by
-    :func:`_flip_rows`; :func:`subqp.solve_qp` starts from those tight there.
+    :meth:`NeighborScan.carry`; :func:`subqp.solve_qp` starts from those
+    tight there.  ``cell`` is the cell's ``(problem, d, reduced)`` from
+    :meth:`NeighborScan.cell`, whose rows are already reduced; without it
+    the cell is assembled and reduced here.
     """
-    qp = cell_qp(inst, pattern, beta)
-    system = cell_system(inst, pattern, beta)
-    prob = QpProblem(Q=-qp.Q, c=-qp.c, G=system.G, h=system.h)
-    sol = solve_qp(prob, warm_start=warm, warm_active=warm_active)
+    if cell is None:
+        qp = cell_qp(inst, pattern, beta)
+        system = cell_system(inst, pattern, beta)
+        cell = QpProblem(Q=-qp.Q, c=-qp.c, G=system.G, h=system.h), qp.d, None
+    prob, d, reduced = cell
+    sol = solve_qp(prob, warm_start=warm, warm_active=warm_active, reduced=reduced)
     if sol.status == "infeasible":
         raise CellInfeasibleError(f"pattern {pattern.A.tolist()} has an empty cell")
     if sol.status not in ("optimal", "iteration_limit"):
         raise RuntimeError(f"cell solve failed with status {sol.status}")
     x = sol.z.reshape(inst.W, inst.H)
-    return x, qp.d - sol.value, sol.status == "iteration_limit", sol.active_set
+    return x, d - sol.value, sol.status == "iteration_limit", sol.active_set
+
+
+class NeighborScan:
+    """The cells of one neighbourhood scan: flip k toggles option ``opt[k]``
+    of segment ``seg[k]`` of ``pattern`` (:func:`neighbors`), at a finite
+    ``beta``.
+
+    A flip rewrites only its own segment's rows and profit terms.  So the
+    incumbent's segments and each flip's new segment are assembled in one
+    batched pass (:func:`_segment_rows`, :func:`_segment_terms`), and one
+    union of rows, the incumbent's cell system followed by each flip's
+    segment rows, is reduced once (:func:`subqp.reduce_rows`).  Candidate
+    k's rows are union rows in :func:`cell_system` order, and its Q, c and
+    d are the in-order sums of the incumbent's terms with segment
+    ``seg[k]``'s replaced, so every array is byte-identical to
+    :func:`cell_system` and :func:`cell_qp` of the flipped pattern.  A scan
+    lives as long as one neighbourhood.
+    """
+
+    def __init__(self, inst: Instance, pattern: Pattern, beta: Beta | float,
+                 seg: np.ndarray, opt: np.ndarray):
+        _check_pattern(inst, pattern)
+        S, K, n = inst.S, seg.size, inst.W * inst.H
+        A = pattern.A.astype(bool)
+        flipped = A[seg]
+        flipped[np.arange(K), opt] ^= True
+        blocks, segs = np.vstack([A, flipped]), np.concatenate([np.arange(S), seg])
+        b = Beta.coerce(beta).per_segment(S)
+        g, r = _option_arrays(inst)
+        G, h = _segment_rows(g, r, blocks, segs, 2.0 / b)
+        keep = _kept(blocks)
+        m = int(keep[:A.size].sum())  # the incumbent's pattern rows
+        G_box, h_box = inst.polytope.rows()
+        G, h = G.reshape(-1, n)[keep], h.ravel()[keep]
+        self.G = np.vstack([G[:m], G_box, G[m:]])
+        self.h = np.concatenate([h[:m], h_box, h[m:]])
+        self.red = reduce_rows(self.G)
+        # union row of each (block, option), -1 for the single active option's
+        at = np.cumsum(keep) - 1
+        at[A.size:] += h_box.size
+        at = np.where(keep, at, -1).reshape(blocks.shape)
+        # each candidate's segments as blocks: the incumbent's, seg[k] replaced
+        self.order = np.tile(np.arange(S), (K, 1))
+        self.order[np.arange(K), seg] = S + np.arange(K)
+        box = np.arange(m, m + h_box.size)
+        self.rows = [np.concatenate([at[o][at[o] >= 0], box]) for o in self.order]
+        self.terms = _segment_terms(inst, g, r, blocks, segs, b)
+
+    def carry(self, k: int, active) -> list[int]:
+        """Rows of the incumbent's cell system, such as its final working
+        set, as rows of candidate k's, in order; the flipped segment's rows
+        are dropped."""
+        pos = np.full(self.h.size, -1)
+        pos[self.rows[k]] = np.arange(self.rows[k].size)
+        out = pos[np.asarray(active, dtype=int)]
+        return out[out >= 0].tolist()
+
+    def cell(self, k: int) -> tuple[QpProblem, float, tuple]:
+        """Candidate k's ``(problem, d, reduced)`` for :func:`_solve_cell`."""
+        rows = self.rows[k]
+        Q, c, d = _slot_sums(*(t[self.order[k]] for t in self.terms))
+        prob = QpProblem(Q=-Q, c=-c, G=self.G[rows], h=self.h[rows])
+        return prob, d, (self.red, rows)
 
 
 def neighbors(inst: Instance, pattern: Pattern,

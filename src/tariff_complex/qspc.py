@@ -14,14 +14,17 @@ restricted programs take one path: the other indicators are pinned to
 ``A``, ``solve_quad`` runs from the incumbent, and its answer is re-anchored
 to its pattern's cell optimum and adopted only if it strictly improves.
 
-The state also keeps the final working set of the incumbent's cell QP.  A
-flip rewrites only its own segment's rows of the cell system, so the
-per-pattern scan solves each candidate cell from ``x_A`` and that working
-set less the flipped segment's rows, mapped onto the candidate's rows
-(:func:`price_complex._flip_rows`).  A warm start that violates one
-candidate row then takes a one-row repair, and one that violates none
-starts from the mapped rows tight there, instead of a cold phase 1 or a
-rank scan.
+A flip rewrites only its own segment's rows and profit terms of the cell
+QP, so the per-pattern scan assembles all its candidate cells at once
+(:class:`price_complex.NeighborScan`): the incumbent's segments and each
+flip's new segment in one batched pass, and one union of their rows,
+reduced once per scan, from which each candidate's solve takes its own
+rows.  The state also keeps the final working set of the incumbent's cell
+QP.  Each candidate cell is solved from ``x_A`` and that working set less
+the flipped segment's rows, mapped onto the candidate's rows.  A warm start
+that violates one candidate row then takes a one-row repair, and one that
+violates none starts from the mapped rows tight there, instead of a cold
+phase 1 or a rank scan.
 
 All randomness flows through one generator seeded by ``rng_seed``; repeated
 runs are bit-identical.  Logged records carry no timings, so reports stay
@@ -38,7 +41,7 @@ import numpy as np
 
 from .bnb import SolveReport, SolverOptions, solve_quad
 from .model import Instance, Pattern
-from .price_complex import CellInfeasibleError, _flip_rows, neighbors, pattern_of
+from .price_complex import CellInfeasibleError, NeighborScan, neighbors, pattern_of
 # the cell solve that also returns the working set, under the name that
 # bench/tracer.py wraps as the cell-solve span
 from .price_complex import _solve_cell as solve_cell
@@ -122,9 +125,11 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
 
     Returns the incumbent unchanged unless a candidate strictly improves.
     Candidate values tie-break on the lexicographically smallest pattern so
-    the result does not depend on evaluation order.  With the search state
-    as ``counters``, each candidate cell starts from the incumbent's working
-    set mapped onto its rows (:func:`_flip_rows`).
+    the result does not depend on evaluation order.  The candidate cells
+    share one :class:`NeighborScan`: their rows are reduced together once.
+    With the search state as ``counters``, each candidate cell starts from
+    the incumbent's working set mapped onto its rows
+    (:meth:`NeighborScan.carry`).
     """
     opts = opts or QspcOptions()
     bet = Beta.coerce(beta)
@@ -140,11 +145,13 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
     best = None  # ((-phi, pattern key), pattern, x, phi, working set)
     # all candidates before any cell solve: flips interleaved with the
     # solves took about 1.7x as long each
-    flips = [(s, w, A.flip(s, w)) for s, w in zip(seg.tolist(), opt.tolist())]
-    for s, w, cand in flips:
-        rows = None if active is None else _flip_rows(A, s, w, active)
+    cands = [A.flip(s, w) for s, w in zip(seg.tolist(), opt.tolist())]
+    scan = NeighborScan(inst, A, bet, seg, opt)
+    for k, cand in enumerate(cands):
+        rows = None if active is None else scan.carry(k, active)
         try:
-            x_c, phi_c, _, act_c = solve_cell(inst, cand, bet, warm=x_A, warm_active=rows)
+            x_c, phi_c, _, act_c = solve_cell(inst, cand, bet, warm=x_A, warm_active=rows,
+                                              cell=scan.cell(k))
         except CellInfeasibleError:
             if counters is not None:
                 counters.n_infeasible_neighbors += 1

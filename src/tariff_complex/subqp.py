@@ -10,7 +10,13 @@ Two entry points:
 The active-set method works in two steps.  :func:`reduce_qp` eliminates the
 equalities through a null-space parametrization (an SVD, since ``A`` may be
 rank-deficient), reduces and normalizes every inequality row and checks that
-Q is PSD, once per program.  The solve then picks the rows it is given,
+Q is PSD, once per program.  Its row part, :func:`reduce_rows`, also runs on
+its own: a union of rows reduced once serves programs that share the
+equalities but differ in their objectives (the candidate cells of one
+neighbourhood scan), and each solve then checks and reduces its own Q and
+c.  Without equalities the null-space basis is the identity, and its
+products are skipped: adding +0.0 gives their bytes exactly.  The solve
+then picks the rows it is given,
 drops those the reduction zeroed, finds a starting point with a phase-1 LP,
 and iterates equality-constrained steps.  The starting working set is an
 independent subset of the rows tight there, picked greedily by index with an
@@ -153,19 +159,42 @@ class QpSolution:
 
 @dataclass
 class Reduction:
-    """A program in its equalities' null space, ``z = z0 + N u``: objective
-    ``1/2 u'Qu u + cu'u``; per row of G, ``G N`` normalized (``Gn``), its
-    norm, ``G z0``, and ``big``, the largest |entry| of the row or of
-    ``G N``'s row, which sets the zero-row threshold."""
+    """A program in its equalities' null space, ``z = z0 + N u``: per row of
+    G, ``G N`` normalized (``Gn``), its norm, ``G z0``, and ``big``, the
+    largest |entry| of the row or of ``G N``'s row, which sets the zero-row
+    threshold; then the objective ``1/2 u'Qu u + cu'u`` (None when only the
+    rows were reduced).  ``N`` None stands for the identity (no equalities):
+    the products with it are skipped, and adding +0.0 gives their bytes
+    (a -0.0 entry becomes +0.0)."""
 
     z0: np.ndarray
-    N: np.ndarray
-    Qu: np.ndarray
-    cu: np.ndarray
+    N: np.ndarray | None
     Gn: np.ndarray
     norms: np.ndarray
     Gz0: np.ndarray
     big: np.ndarray
+    Qu: np.ndarray | None = None
+    cu: np.ndarray | None = None
+
+    @property
+    def nu(self) -> int:
+        """Number of free variables ``u``."""
+        return self.z0.size if self.N is None else self.N.shape[1]
+
+    def times_n(self, u: np.ndarray) -> np.ndarray:
+        """``N u``."""
+        return u + 0.0 if self.N is None else self.N @ u
+
+    def to_u(self, z: np.ndarray) -> np.ndarray:
+        """``N' (z - z0)``, which is u for a point on the equality manifold."""
+        v = z - self.z0
+        return v + 0.0 if self.N is None else self.N.T @ v
+
+    def objective(self, Q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(Qu, cu)`` of the objective ``1/2 z'Qz + c'z``."""
+        if self.N is None:
+            return Q + 0.0, c + 0.0
+        return self.N.T @ Q @ self.N, self.N.T @ (c + Q @ self.z0)
 
     @cached_property
     def lifted(self):
@@ -179,32 +208,47 @@ def _unit_rows(G):
     return G / np.where(norms > 0.0, norms, 1.0)[:, None], norms
 
 
+def reduce_rows(G: np.ndarray, A: np.ndarray | None = None,
+                b: np.ndarray | None = None) -> Reduction | None:
+    """The row part of :func:`reduce_qp`: eliminate the equalities ``A z = b``
+    (none when A is None) and reduce and normalize every row of G, one row
+    at a time (None: inconsistent equalities).  The objective is left out."""
+    m, n = G.shape
+    if A is not None and A.shape[0]:
+        z0, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if float(np.abs(A @ z0 - b).max(initial=0.0)) > \
+                EPS_FEAS * max(1.0, float(np.abs(b).max(initial=0.0))):
+            return None
+        N = _nullspace(A, n)
+        Gu = G @ N
+        big = np.maximum(np.abs(Gu).max(axis=1, initial=0.0), np.abs(G).max(axis=1, initial=0.0))
+        Gz0 = G @ z0
+    else:
+        z0, N, Gu = np.zeros(n), None, G + 0.0
+        big, Gz0 = np.abs(G).max(axis=1, initial=0.0), np.zeros(m)
+    Gn, norms = _unit_rows(Gu)
+    return Reduction(z0=z0, N=N, Gn=Gn, norms=norms, Gz0=Gz0, big=big)
+
+
 def reduce_qp(prob: QpProblem, ridge: bool = False) -> Reduction | None:
-    """Eliminate prob's equalities and reduce its rows (None: inconsistent
-    equalities).  Checks that Q is PSD, or with ``ridge`` adds a ridge."""
-    n, Q = prob.n, prob.Q
+    """Eliminate prob's equalities and reduce its rows and objective (None:
+    inconsistent equalities).  Checks that Q is PSD, or with ``ridge`` adds a
+    ridge."""
+    Q = prob.Q
     if ridge:
-        Q = Q + _RIDGE * max(1.0, float(np.abs(Q).max(initial=0.0))) * np.eye(n)
+        Q = Q + _RIDGE * max(1.0, float(np.abs(Q).max(initial=0.0))) * np.eye(prob.n)
     else:
         _check_psd(Q)
-    if prob.A.shape[0]:
-        z0, *_ = np.linalg.lstsq(prob.A, prob.b, rcond=None)
-        if float(np.abs(prob.A @ z0 - prob.b).max(initial=0.0)) > \
-                EPS_FEAS * max(1.0, float(np.abs(prob.b).max(initial=0.0))):
-            return None
-        N = _nullspace(prob.A, n)
-    else:
-        z0, N = np.zeros(n), np.eye(n)
-    Gu = prob.G @ N
-    Gn, norms = _unit_rows(Gu)
-    big = np.maximum(np.abs(Gu).max(axis=1, initial=0.0), np.abs(prob.G).max(axis=1, initial=0.0))
-    return Reduction(z0=z0, N=N, Qu=N.T @ Q @ N, cu=N.T @ (prob.c + Q @ z0), Gn=Gn,
-                     norms=norms, Gz0=prob.G @ z0, big=big)
+    red = reduce_rows(prob.G, prob.A, prob.b)
+    if red is not None:
+        red.Qu, red.cu = red.objective(Q, prob.c)
+    return red
 
 
 def _check_psd(Q: np.ndarray) -> None:
     scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-    if not np.allclose(Q, Q.T, atol=1e-8 * scale):
+    # np.allclose(Q, Q.T, atol=1e-8 * scale), written out without its overhead
+    if not np.all(np.abs(Q - Q.T) <= 1e-8 * scale + 1e-5 * np.abs(Q.T)):
         raise ValueError("Q must be symmetric")
     d = np.diag(Q)
     if np.count_nonzero(Q - np.diag(d)) == 0:
@@ -217,8 +261,6 @@ def _check_psd(Q: np.ndarray) -> None:
 
 
 def _nullspace(C: np.ndarray, n: int) -> np.ndarray:
-    if C.shape[0] == 0:
-        return np.eye(n)
     _, s, Vt = np.linalg.svd(C, full_matrices=True)
     tol = max(C.shape) * _EPS * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
@@ -558,8 +600,10 @@ def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
     When it violates two or more, ``warm_active`` is ignored.
     ``reduced = (red, rows)`` skips the reduction: ``red`` is
     :func:`reduce_qp` of a program with prob's Q, c, A and b whose rows
-    ``rows`` (any h) are prob's rows of G, in order.  Without it, prob is
-    reduced here.  Unbounded problems are reported with a certifying ray,
+    ``rows`` (any h) are prob's rows of G, in order, or :func:`reduce_rows`
+    of such rows and prob's A and b, whose objective part prob's Q and c
+    then fill in here (after the PSD check).  Without it, prob is reduced
+    here.  Unbounded problems are reported with a certifying ray,
     never silently clamped.  The iteration cap is ``50 (n + m) + 50`` for n
     free variables after the equalities are eliminated and m non-constant
     rows; a solve that hits it returns its last iterate with status
@@ -580,8 +624,11 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     red, rows = reduced or (reduce_qp(prob, ridge), np.arange(prob.G.shape[0]))
     if red is None:
         return failed()
-    z0, N = red.z0, red.N
-    nu = N.shape[1]
+    Qu, cu = red.Qu, red.cu
+    if Qu is None:  # only the rows were reduced
+        _check_psd(prob.Q)
+        Qu, cu = red.objective(prob.Q, prob.c)
+    nu = red.nu
 
     hu = prob.h - red.Gz0[rows]
     # constant rows (zeroed by the reduction) are feasibility checks only
@@ -596,7 +643,7 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     cap = 50 * (nu + Gn.shape[0]) + 50
 
     if nu == 0:
-        z = z0
+        z = red.z0
         viol = float((prob.G @ z - prob.h).max(initial=0.0)) if prob.G.shape[0] else 0.0
         if viol > EPS_FEAS * max(1.0, float(np.abs(prob.h).max(initial=0.0))):
             return failed()
@@ -608,7 +655,7 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     u_start = start = repair = None
     u_seed = np.zeros(nu)
     if warm_start is not None:
-        uw = N.T @ (np.asarray(warm_start, dtype=float).ravel() - z0)
+        uw = red.to_u(np.asarray(warm_start, dtype=float).ravel())
         over = np.flatnonzero(Gn @ uw - hn > 1e-9) if Gn.shape[0] else []
         if warm_active is not None:
             pos = np.full(prob.G.shape[0], -1)
@@ -633,17 +680,17 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
             u_start = u_seed
 
     u, status, work, lam_w, iters, ray_u = _active_set_core(
-        red.Qu, red.cu, Gn, hn, u_start, cap, start, None if repair is None else repair[0])
-    z = z0 + N @ u
+        Qu, cu, Gn, hn, u_start, cap, start, None if repair is None else repair[0])
+    z = red.z0 + red.times_n(u)
 
     if status == "unbounded":
         return QpSolution(z=z, value=-np.inf, status="unbounded", n_iterations=iters,
-                          ridge_applied=ridge, ray=N @ ray_u)
+                          ridge_applied=ridge, ray=red.times_n(ray_u))
 
-    # multipliers back in original row indexing/scaling
+    # multipliers back in original row indexing/scaling; negative ones clip
+    # to +0.0 but -0.0 stays, as Python's max(lam, 0.0) would leave it
     lam_full = np.zeros(prob.G.shape[0])
-    for i, wi in enumerate(work):
-        lam_full[keep[wi]] = max(float(lam_w[i]), 0.0) / row_norms[wi]
+    lam_full[keep[work]] = np.where(lam_w < 0.0, 0.0, lam_w) / row_norms[work]
     sol = QpSolution(z=z, value=prob.objective(z), status=status,
                      active_set=[int(keep[wi]) for wi in work],
                      n_iterations=iters, ridge_applied=ridge)

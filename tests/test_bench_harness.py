@@ -24,7 +24,13 @@ def test_tracer_wraps_every_hook_and_counts_phase_one(monkeypatch):
         tc.solve_quad(det_inst, 0.05, tc.SolverOptions(node_limit=5))
         tc.solve_det(det_inst, tc.SolverOptions(node_limit=5))
         tc.qspc(quad_inst, 0.05, opts=tc.QspcOptions(rng_seed=0))
-    layers = tr.layers()
+    with tracer.Tracer() as tq:
+        tc.qspc(quad_inst, 0.05, opts=tc.QspcOptions(rng_seed=0))
+    layers, qspc_layers = tr.layers(), tq.layers()
+    # every qspc cell QP, a neighbourhood scan's candidates included, is one
+    # cell solve through the module-global names the tracer wraps
+    assert qspc_layers["price_complex.solve_cell"]["calls"] == \
+        qspc_layers["subqp.solve_qp.price_complex"]["calls"] > 0
     for span in ("bnb.solve_quad", "bnb.solve_det", "qspc.qspc",
                  "subqp.solve_qp.bnb", "subqp.solve_qp.price_complex"):
         assert layers[span]["calls"] > 0, span

@@ -587,10 +587,9 @@ def test_child_rows_map_parent_rows_onto_the_child(model, S, W, seed, data):
     assert _same_bytes(child.h[other[0]], prog.node_h[2 * j + v])
 
 
-@pytest.mark.parametrize("g", range(4))
-def test_det_matches_scipy_milp_beyond_enumeration(g):
-    # at 8/3 the pure patterns are too many to enumerate; scipy's MILP solver
-    # on the same big-M program is the reference instead
+def _assert_det_matches_milp(g):
+    """solve_det on the 8/3 instance of generator seed g against scipy's
+    MILP solver (HiGHS) on the same big-M program, to a relative 1e-6."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     inst = generate(GeneratorConfig(S=8, n_company_contracts=3, seed=g))
@@ -610,6 +609,20 @@ def test_det_matches_scipy_milp_beyond_enumeration(g):
     assert rep.status == "optimal"
     assert abs(rep.objective - best) <= tol
     assert rep.bound >= best - tol
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_det_matches_scipy_milp_beyond_enumeration(g):
+    # at 8/3 the pure patterns are too many to enumerate; scipy's MILP solver
+    # on the same big-M program is the reference instead
+    _assert_det_matches_milp(g)
+
+
+@settings(max_examples=5, deadline=None)
+@given(g=st.integers(4, 2**31 - 1))
+def test_det_matches_scipy_milp_on_generated_instances(g):
+    # the same cross-check on drawn generator seeds
+    _assert_det_matches_milp(g)
 
 
 def _loop_bigm(inst, bs=None):

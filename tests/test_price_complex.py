@@ -622,28 +622,43 @@ def _drawn_price(inst, data):
     return sol.z.reshape(inst.W, inst.H)
 
 
+def _drawn_beta(inst, beta, data):
+    """``beta``, or for "per-segment" 0.05 with drawn per-segment scales."""
+    if beta != "per-segment":
+        return beta
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return Beta(0.05, scales=rng.uniform(0.2, 5.0, size=inst.S))
+
+
 @settings(max_examples=40, deadline=None)
-@given(size=st.sampled_from([(5, 2), (6, 3)]), beta=st.sampled_from([0.05, 0.5, None]),
+@given(size=st.sampled_from([(5, 2), (6, 3)]),
+       beta=st.sampled_from([0.05, 0.5, "per-segment"]),
        seed=st.integers(0, 2**31 - 1), data=st.data())
 def test_flip_rows_carry_every_other_row_onto_the_neighbour(size, beta, seed, data):
     # the search hands a neighbour cell the incumbent's working set through
-    # _flip_rows: every row outside the flipped segment must land on a row
-    # of the neighbour's system with the same bytes in G and h, and every
-    # neighbour row outside that segment must be one row's image
+    # NeighborScan.carry: every row outside the flipped segment must land on
+    # a row of the neighbour's system with the same bytes in G and h, and
+    # every neighbour row outside that segment must be one row's image; the
+    # scan's rows, Q, c and d of each neighbour are cell_system's and
+    # cell_qp's, byte for byte
     S, W = size
     inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
+    beta = _drawn_beta(inst, beta, data)
     masks = data.draw(st.lists(st.integers(1, 2 ** (W + 1) - 1), min_size=S, max_size=S))
     A = Pattern((np.array(masks)[:, None] >> np.arange(W + 1)) & 1)
     sys_a = cell_system(inst, A, beta)
     seg_a = _row_segments(A, sys_a.h.size)
     seg, opt = neighbors(inst, A, _drawn_price(inst, data))
-    for s, w in zip(seg.tolist(), opt.tolist()):
+    scan = price_complex.NeighborScan(inst, A, beta, seg, opt)
+    m_a = sys_a.h.size
+    assert _same_bytes(scan.G[:m_a], sys_a.G) and _same_bytes(scan.h[:m_a], sys_a.h)
+    for k, (s, w) in enumerate(zip(seg.tolist(), opt.tolist())):
         B = A.flip(s, w)
         sys_b = cell_system(inst, B, beta)
         seg_b = _row_segments(B, sys_b.h.size)
         images = []
         for r in range(sys_a.h.size):
-            got = price_complex._flip_rows(A, s, w, [r])
+            got = scan.carry(k, [r])
             if seg_a[r] == s:
                 assert got == []
                 continue
@@ -653,7 +668,13 @@ def test_flip_rows_carry_every_other_row_onto_the_neighbour(size, beta, seed, da
             assert sys_b.h[j].tobytes() == sys_a.h[r].tobytes()
             images.append(j)
         assert images == np.flatnonzero(seg_b != s).tolist()
-        assert price_complex._flip_rows(A, s, w, range(sys_a.h.size)) == images
+        assert scan.carry(k, range(sys_a.h.size)) == images
+        prob, d, (red, rows) = scan.cell(k)
+        qp = cell_qp(inst, B, beta)
+        assert _same_bytes(prob.G, sys_b.G) and _same_bytes(prob.h, sys_b.h)
+        assert _same_bytes(prob.Q, -qp.Q) and _same_bytes(prob.c, -qp.c)
+        assert type(d) is float and _same_bytes(d, qp.d)
+        assert red is scan.red and _same_bytes(scan.G[rows], sys_b.G)
 
 
 @settings(max_examples=30, deadline=None)
@@ -669,7 +690,8 @@ def test_warm_neighbour_cell_solves_agree_with_cold(size, beta, seed, data):
     A = pattern_of(inst, x0, beta)
     x_A, _, _, active = price_complex._solve_cell(inst, A, beta, warm=x0)
     seg, opt = neighbors(inst, A, x_A)
-    for s, w in zip(seg.tolist(), opt.tolist()):
+    scan = price_complex.NeighborScan(inst, A, beta, seg, opt)
+    for k, (s, w) in enumerate(zip(seg.tolist(), opt.tolist())):
         cand = A.flip(s, w)
         try:
             _, cold = solve_cell(inst, cand, beta)
@@ -677,9 +699,72 @@ def test_warm_neighbour_cell_solves_agree_with_cold(size, beta, seed, data):
             cold = None
         try:
             _, warm, _, _ = price_complex._solve_cell(
-                inst, cand, beta, warm=x_A, warm_active=price_complex._flip_rows(A, s, w, active))
+                inst, cand, beta, warm=x_A, warm_active=scan.carry(k, active), cell=scan.cell(k))
         except CellInfeasibleError:
             warm = None
         assert (warm is None) == (cold is None)
         if cold is not None:
             assert abs(warm - cold) <= 1e-7 * max(1.0, abs(cold))
+
+
+def _solved(inst, pattern, beta, **kw):
+    """``_solve_cell``'s answer as bytes and values, or None for an empty cell."""
+    try:
+        x, value, capped, active = price_complex._solve_cell(inst, pattern, beta, **kw)
+    except CellInfeasibleError:
+        return None
+    return x.tobytes(), value, capped, active
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from([(5, 2), (6, 3)]), seed=st.integers(0, 2**31 - 1),
+       data=st.data())
+def test_scan_cell_solves_match_solves_from_scratch(size, seed, data):
+    # a candidate solved through the scan's shared reduction gives the same
+    # bytes as the same warm solve assembled and reduced on its own, and an
+    # empty candidate raises in both.  Two incumbents: the pattern at a drawn
+    # price, whose cell and most neighbours are non-empty, and a drawn
+    # pattern whose segment 0 holds one option and segment 1 two, so that
+    # some flip gains the single-option row and some flip loses it
+    S, W = size
+    beta = 0.05
+    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
+    x0 = _drawn_price(inst, data)
+    one = 1 << data.draw(st.integers(0, W))
+    two = one | 1 << data.draw(st.sampled_from([w for w in range(W + 1) if not one >> w & 1]))
+    rest = data.draw(st.lists(st.integers(1, 2 ** (W + 1) - 1), min_size=S - 2, max_size=S - 2))
+    drawn = Pattern((np.array([one, two] + rest)[:, None] >> np.arange(W + 1)) & 1)
+    for A in (pattern_of(inst, x0, beta), drawn):
+        try:
+            x_A, _, _, active = price_complex._solve_cell(inst, A, beta, warm=x0)
+        except CellInfeasibleError:
+            x_A, active = x0, None
+        seg, opt = neighbors(inst, A, x_A)
+        scan = price_complex.NeighborScan(inst, A, beta, seg, opt)
+        for k, (s, w) in enumerate(zip(seg.tolist(), opt.tolist())):
+            cand = A.flip(s, w)
+            rows = None if active is None else scan.carry(k, active)
+            assert _solved(inst, cand, beta, warm=x_A, warm_active=rows, cell=scan.cell(k)) == \
+                _solved(inst, cand, beta, warm=x_A, warm_active=rows)
+    m_A = cell_system(inst, drawn, beta).h.size
+    assert {-1, 1} <= {rows.size - m_A for rows in scan.rows}
+
+
+def test_empty_scan_candidate_raises():
+    # a one-flip neighbour with an empty cell raises through the scan too
+    inst = generate(GeneratorConfig(S=5, n_company_contracts=2, seed=0))
+    x0 = inst.polytope.midpoint()
+    A = pattern_of(inst, x0, 0.05)
+    x_A, _, _, active = price_complex._solve_cell(inst, A, 0.05, warm=x0)
+    seg, opt = neighbors(inst, A, x_A)
+    scan = price_complex.NeighborScan(inst, A, 0.05, seg, opt)
+    empty = 0
+    for k, (s, w) in enumerate(zip(seg.tolist(), opt.tolist())):
+        try:
+            solve_cell(inst, A.flip(s, w), 0.05)
+        except CellInfeasibleError:
+            empty += 1
+            with pytest.raises(CellInfeasibleError):
+                price_complex._solve_cell(inst, A.flip(s, w), 0.05, warm=x_A,
+                                          warm_active=scan.carry(k, active), cell=scan.cell(k))
+    assert empty

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from tariff_complex import QpProblem, find_feasible_point, project_simplex, solve_qp, subqp
-from tariff_complex.subqp import (_factor_working_set, _independent_subset, _join_working_set,
-                                  _leave_working_set, reduce_qp)
+from tariff_complex.subqp import (_check_psd, _factor_working_set, _independent_subset,
+                                  _join_working_set, _leave_working_set, reduce_qp, reduce_rows)
 from conftest import assert_same_solution
 
 
@@ -427,6 +427,8 @@ def test_reduced_rows_solve_matches_one_shot(n, m, k, eq, lp, scale, seed):
     Q, c = (None if lp else B @ B.T), rng.normal(size=n)
     red = reduce_qp(QpProblem(Q=Q, c=c, G=G, h=np.zeros(len(G)), A=A,
                               b=None if A is None else [0.5]))
+    # the rows alone, each solve filling in its own objective
+    red_rows = reduce_rows(G, A, None if A is None else np.array([0.5]))
     rows = np.sort(rng.choice(len(G) - 2 * n, size=rng.integers(1, m + k + 2), replace=False))
     rows = np.concatenate([rows, np.arange(len(G) - 2 * n, len(G))])  # the box stays
     at = int(rng.integers(0, len(rows) - 2 * n))  # the row the parent lacks
@@ -435,9 +437,72 @@ def test_reduced_rows_solve_matches_one_shot(n, m, k, eq, lp, scale, seed):
         return QpProblem(Q=Q, c=c, G=G[r], h=h[r], A=A, b=None if A is None else [0.5])
 
     parent = solve_qp(prob(np.delete(rows, at)))
-    assert_same_solution(solve_qp(prob(rows), reduced=(red, rows)), solve_qp(prob(rows)))
+    one_shot = solve_qp(prob(rows))
+    assert_same_solution(solve_qp(prob(rows), reduced=(red, rows)), one_shot)
+    assert_same_solution(solve_qp(prob(rows), reduced=(red_rows, rows)), one_shot)
     if parent.status != "optimal":
         return
     kw = dict(warm_start=parent.z, warm_active=[i + (i >= at) for i in parent.active_set])
-    assert_same_solution(solve_qp(prob(rows), reduced=(red, rows), **kw),
-                         solve_qp(prob(rows), **kw))
+    one_shot = solve_qp(prob(rows), **kw)
+    assert_same_solution(solve_qp(prob(rows), reduced=(red, rows), **kw), one_shot)
+    assert_same_solution(solve_qp(prob(rows), reduced=(red_rows, rows), **kw), one_shot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 9), mag=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+def test_symmetry_check_agrees_with_allclose(n, mag, seed):
+    # _check_psd writes np.allclose(Q, Q.T, atol=1e-8 * scale) out by hand:
+    # an off-diagonal entry moved just inside and just outside the tolerance,
+    # away from zero and towards it, must get allclose's verdict.  The
+    # diagonal dominates, so the move keeps the scale and Q stays positive
+    # definite.
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n)) * 10.0 ** mag
+    Q = B @ B.T
+    Q = (Q + Q.T) / 2.0 + 2.0 * n * np.abs(Q).max() * np.eye(n)
+    i, j = rng.choice(n, size=2, replace=False)
+    scale = max(1.0, float(np.abs(Q).max()))
+    q = Q[j, i]
+    away = 1e-8 * scale + 1e-5 * abs(q)
+    # towards zero, the check at (j, i) binds: rtol times the moved entry
+    toward = away / (1.0 + 1e-5)
+    sign = 1.0 if q >= 0.0 else -1.0
+    for step in (sign * away, -sign * toward):
+        if abs(step) >= abs(q) and step * q < 0.0:
+            continue  # the move would cross zero
+        for factor, close in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+            P = Q.copy()
+            P[i, j] = q + factor * step
+            assert np.allclose(P, P.T, atol=1e-8 * scale) is close
+            if close:
+                _check_psd(P)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    _check_psd(P)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_equality_free_reduction_skips_identity_products_bit_for_bit(m, n, seed):
+    # without equalities the null-space basis is the identity, and the
+    # reduction skips its products; the bytes must be those of the products,
+    # signed zeros included (a -0.0 entry comes back +0.0)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.3] = -0.0
+        x[rng.random(shape) < 0.2] = 0.0
+        return x
+
+    G, Q, c, v = draw(m, n), draw(n, n), draw(n), draw(n)
+    eye, z0 = np.eye(n), np.zeros(n)
+    red = reduce_rows(G)
+    Gn, norms = subqp._unit_rows(G @ eye)
+    for got, want in ((red.Gn, Gn), (red.norms, norms), (red.Gz0, G @ z0),
+                      (red.big, np.maximum(np.abs(G @ eye).max(axis=1), np.abs(G).max(axis=1))),
+                      (red.times_n(v), eye @ v), (red.to_u(v), eye.T @ (v - z0))):
+        assert got.tobytes() == want.tobytes()
+    Qu, cu = red.objective(Q, c)
+    assert Qu.tobytes() == (eye.T @ Q @ eye).tobytes()
+    assert cu.tobytes() == (eye.T @ (c + Q @ z0)).tobytes()
