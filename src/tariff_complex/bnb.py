@@ -24,7 +24,8 @@ columns and big-M rows without the ``(2/beta_s) ybar`` column and the
 assembles both, and its big-M constants differ only by the headroom
 ``2/beta_s``.  One branch-and-bound loop serves both; each model supplies
 how a price vector is evaluated exactly, each indicator's value at a node
-point, and how an integral node point is closed.
+point, and how an integral node point is closed: by its cell's optimum
+(``solve_cell``; det through ``pure_assignment_lp``, its limit cell).
 
 Node relaxations drop integrality and are convex, solved by the in-house
 active-set method.  A node is a fixing vector in ``fixed_z``'s format (-1
@@ -63,11 +64,7 @@ import numpy as np
 
 from .model import Instance, Pattern, ResponseMatrix
 from .model import profit as _profit
-# pure_assignment_lp and solve_cell are not called here; they stay importable
-# from this module because the benchmark tracer (bench/tracer.py) wraps them
-# by name
-from .price_complex import (CellInfeasibleError, _solve_cell,  # noqa: F401
-                            pure_assignment_lp, solve_cell)
+from .price_complex import CellInfeasibleError, pure_assignment_lp, solve_cell
 from .response import Beta, det_response_set, quad_response
 from .subqp import QpProblem, Reduction, reduce_qp, solve_qp
 
@@ -315,14 +312,13 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
         return incumbent.offer(_profit(inst, x, resp), x, resp, resp.support())
 
     def leaf_value(v, zb, incumbent):
-        # the limit cell of the one-hot pattern (``pure_assignment_lp``)
-        resp = ResponseMatrix(np.eye(W + 1)[zb.reshape(S, W + 1).argmax(axis=1)])
-        try:
-            x, val, capped, _ = _solve_cell(inst, resp.support(), None, warm=v[:W * inst.H])
-        except CellInfeasibleError:
+        combo = zb.reshape(S, W + 1).argmax(axis=1)
+        cell = pure_assignment_lp(inst, combo, warm=v[:W * inst.H])
+        if cell is None:
             return False
-        incumbent.offer(val, x, resp, resp.support())
-        return capped
+        resp = ResponseMatrix(np.eye(W + 1)[combo])
+        incumbent.offer(cell.value, cell.x, resp, resp.support())
+        return cell.capped
 
     return _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
                              _parse_fixed(None, S, W))
@@ -401,11 +397,11 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
         if np.any(zv.sum(axis=1) == 0):
             return False
         try:
-            x, _, capped, _ = _solve_cell(inst, Pattern(zv), bet, warm=v[:W * inst.H])
+            cell = solve_cell(inst, Pattern(zv), bet, warm=v[:W * inst.H])
         except CellInfeasibleError:
             return False
-        offer(x, incumbent)
-        return capped
+        offer(cell.x, incumbent)
+        return cell.capped
 
     return _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
                              fixed, warm_incumbent)

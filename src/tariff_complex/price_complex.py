@@ -10,7 +10,8 @@ set, the defining rows at strength beta_s are, for every option w:
 
 Active rows are strict for exact-support classification and closed in every
 solved system (their closure).  On a closed cell the profit is an explicit
-concave quadratic in the prices, which is what the local search descends on.
+concave quadratic in the prices; :func:`solve_cell`, the one cell solve of
+the local search, the oracles and the branch-and-bound leaves, maximizes it.
 As beta -> inf the offsets vanish and a pattern's cell becomes its limit cell
 in the deterministic model, where active options tie at the segment minimum.
 Every beta here may be None (or math.inf) for that limit: ``cell_system``,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,27 +269,26 @@ def _segment_terms(inst: Instance, g: np.ndarray, r: np.ndarray, A: np.ndarray,
     return Q, c, d
 
 
+class CellOptimum(NamedTuple):
+    """:func:`solve_cell`'s answer: argmax prices, value, whether the QP stopped at
+    its iteration cap (not a certified optimum) and its final working set."""
+
+    x: np.ndarray
+    value: float
+    capped: bool
+    active: list[int]
+
+
 def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
-               warm: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+               warm: np.ndarray | None = None, warm_active: list[int] | None = None,
+               cell: tuple | None = None) -> CellOptimum:
     """Maximize profit over one closed cell; at beta None, the LP over the
     limit cell of a pure pattern.
 
-    Returns (argmax prices, value).  Raises :class:`CellInfeasibleError` on an
-    empty cell.  Deterministic for a given warm start.  A warm start changes
-    the active-set path, and with it the optimum within solver tolerance
-    (one cell's value near 69 was seen to move by 2e-5).  A QP that stopped
-    at its iteration cap is returned as solved; :func:`_solve_cell` also
-    says whether that happened.
-    """
-    x, value, *_ = _solve_cell(inst, pattern, beta, warm)
-    return x, value
-
-
-def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
-                warm: np.ndarray | None = None, warm_active: list[int] | None = None,
-                cell: tuple | None = None) -> tuple[np.ndarray, float, bool, list[int]]:
-    """:func:`solve_cell` plus whether the cell QP stopped at its iteration
-    cap and its final working set, as rows of the cell system.
+    Raises :class:`CellInfeasibleError` on an empty cell.  Deterministic for
+    a given warm start.  A warm start changes the active-set path, and with
+    it the optimum within solver tolerance (one cell's value near 69 was
+    seen to move by 2e-5).
 
     ``warm_active`` are independent rows of the cell system, such as a
     neighbour cell's final working set at ``warm`` carried over by
@@ -306,8 +307,8 @@ def _solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
         raise CellInfeasibleError(f"pattern {pattern.A.tolist()} has an empty cell")
     if sol.status not in ("optimal", "iteration_limit"):
         raise RuntimeError(f"cell solve failed with status {sol.status}")
-    x = sol.z.reshape(inst.W, inst.H)
-    return x, d - sol.value, sol.status == "iteration_limit", sol.active_set
+    return CellOptimum(sol.z.reshape(inst.W, inst.H), d - sol.value,
+                       sol.status == "iteration_limit", sol.active_set)
 
 
 class NeighborScan:
@@ -366,7 +367,7 @@ class NeighborScan:
         return out[out >= 0].tolist()
 
     def cell(self, k: int) -> tuple[QpProblem, float, tuple]:
-        """Candidate k's ``(problem, d, reduced)`` for :func:`_solve_cell`."""
+        """Candidate k's ``(problem, d, reduced)`` for :func:`solve_cell`."""
         rows = self.rows[k]
         Q, c, d = _slot_sums(*(t[self.order[k]] for t in self.terms))
         prob = QpProblem(Q=-Q, c=-c, G=self.G[rows], h=self.h[rows])
@@ -447,7 +448,7 @@ def quad_oracle(inst: Instance, beta, max_patterns: int | None = None) -> Oracle
     pats = _patterns(inst.S, np.eye(inst.W + 1)) if limit else enumerate_patterns(inst.S, inst.W)
     for pat in pats:
         try:
-            x, val, capped, _ = _solve_cell(inst, pat, beta)
+            x, val, capped, _ = solve_cell(inst, pat, beta)
         except CellInfeasibleError:
             continue
         best.n_feasible += 1
@@ -458,20 +459,19 @@ def quad_oracle(inst: Instance, beta, max_patterns: int | None = None) -> Oracle
 
 
 def pure_assignment_lp(inst: Instance, combo: tuple[int, ...],
-                       warm: np.ndarray | None = None) -> tuple[float, np.ndarray] | None:
+                       warm: np.ndarray | None = None) -> CellOptimum | None:
     """Exact deterministic profit when segment s is held to option combo[s].
 
     Solves the limit cell of that one-hot pattern (:func:`solve_cell` at
     beta None): the linear profit over the polyhedron where every assigned
-    option attains its segment's minimum disutility.  Returns (value, x) or
-    None when that region is empty.
+    option attains its segment's minimum disutility.  Returns its
+    :class:`CellOptimum`, or None when that region is empty.
     """
     pat = Pattern(np.eye(inst.W + 1, dtype=np.int8)[np.asarray(combo)])
     try:
-        x, value = solve_cell(inst, pat, None, warm)
+        return solve_cell(inst, pat, None, warm)
     except CellInfeasibleError:
         return None
-    return value, x
 
 
 def det_oracle(inst: Instance, max_patterns: int | None = None) -> OracleResult:

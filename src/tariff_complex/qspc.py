@@ -12,7 +12,9 @@ restart frees a seeded random subset of activation indicators instead; the
 outer loop stops after ``r_max`` restarts in a row fail to improve.  Both
 restricted programs take one path: the other indicators are pinned to
 ``A``, ``solve_quad`` runs from the incumbent, and its answer is re-anchored
-to its pattern's cell optimum and adopted only if it strictly improves.
+to its pattern's cell optimum and adopted only if it strictly improves.  A
+cell QP that stops at its iteration cap is taken as solved and counted in
+``extras["n_capped_cells"]``.
 
 A flip rewrites only its own segment's rows and profit terms of the cell
 QP, so the per-pattern scan assembles all its candidate cells at once
@@ -41,10 +43,7 @@ import numpy as np
 
 from .bnb import SolveReport, SolverOptions, solve_quad
 from .model import Instance, Pattern
-from .price_complex import CellInfeasibleError, NeighborScan, neighbors, pattern_of
-# the cell solve that also returns the working set, under the name that
-# bench/tracer.py wraps as the cell-solve span
-from .price_complex import _solve_cell as solve_cell
+from .price_complex import CellInfeasibleError, NeighborScan, neighbors, pattern_of, solve_cell
 from .response import Beta, quad_response
 from .subqp import find_feasible_point
 
@@ -108,6 +107,7 @@ class QspcState:
     n_explore: int = 0
     n_restarts: int = 0
     n_infeasible_neighbors: int = 0
+    n_capped_cells: int = 0
     timed_out: bool = False
 
     def record(self, phase: str):
@@ -132,6 +132,7 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
     (:meth:`NeighborScan.carry`).
     """
     opts = opts or QspcOptions()
+    counters = counters or QspcState(pattern=A, x=x_A, phi=phi_A)
     bet = Beta.coerce(beta)
     seg, opt = neighbors(inst, A, x_A)
     if opts.neighbor_mode == "restricted_miqp":
@@ -141,8 +142,8 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
         free[seg, opt] = True
         return _restricted_solve(inst, bet, A, free, x_A, phi_A, opts, counters)
 
-    active = None if counters is None else counters.active
-    best = None  # ((-phi, pattern key), pattern, x, phi, working set)
+    active = counters.active
+    best = None  # ((-phi, pattern key), pattern, cell optimum)
     # all candidates before any cell solve: flips interleaved with the
     # solves took about 1.7x as long each
     cands = [A.flip(s, w) for s, w in zip(seg.tolist(), opt.tolist())]
@@ -150,19 +151,17 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
     for k, cand in enumerate(cands):
         rows = None if active is None else scan.carry(k, active)
         try:
-            x_c, phi_c, _, act_c = solve_cell(inst, cand, bet, warm=x_A, warm_active=rows,
-                                              cell=scan.cell(k))
+            sol = solve_cell(inst, cand, bet, warm=x_A, warm_active=rows, cell=scan.cell(k))
         except CellInfeasibleError:
-            if counters is not None:
-                counters.n_infeasible_neighbors += 1
+            counters.n_infeasible_neighbors += 1
             continue
-        key = (-phi_c, cand.key())
+        counters.n_capped_cells += sol.capped
+        key = (-sol.value, cand.key())
         if best is None or key < best[0]:
-            best = (key, cand, x_c, phi_c, act_c)
-    if best is not None and best[3] > phi_A + _EPS_ACCEPT:
-        if counters is not None:
-            counters.active = best[4]
-        return best[1], best[2], best[3]
+            best = (key, cand, sol)
+    if best is not None and best[2].value > phi_A + _EPS_ACCEPT:
+        counters.active = best[2].active
+        return best[1], best[2].x, best[2].value
     return A, x_A, phi_A
 
 
@@ -179,17 +178,17 @@ def _restricted_solve(inst, bet, A, free, x_A, phi_A, opts, counters):
                      SolverOptions(gap=opts.restart_gap,
                                    time_limit_s=opts.time_limit_s),
                      fixed_z=fz, warm_incumbent=x_A)
-    if counters is not None and rep.status == "time_limit":
+    if rep.status == "time_limit":
         counters.timed_out = True
     if not rep.has_incumbent() or rep.pattern == A:
         return A, x_A, phi_A
     try:
-        x_n, phi_n, _, act_n = solve_cell(inst, rep.pattern, bet, warm=rep.x.ravel())
+        x_n, phi_n, capped, act_n = solve_cell(inst, rep.pattern, bet, warm=rep.x.ravel())
     except CellInfeasibleError:
         return A, x_A, phi_A
+    counters.n_capped_cells += capped
     if phi_n > phi_A + _EPS_ACCEPT:
-        if counters is not None:
-            counters.active = act_n
+        counters.active = act_n
         return rep.pattern, x_n, phi_n
     return A, x_A, phi_A
 
@@ -221,11 +220,15 @@ def miqp_restart(inst: Instance, beta: Beta | float, A: Pattern,
     free[:, cols] = True
     coin = rng.random((S, W + 1)) < opts.sigma
     free |= coin
-    x_A, phi_A = warm if warm is not None else solve_cell(inst, A, bet)[:2]
+    if warm is None:
+        x_A, phi_A, capped, _ = solve_cell(inst, A, bet)
+    else:
+        (x_A, phi_A), capped = warm, False
+    counters = counters or QspcState(pattern=A, x=x_A, phi=phi_A)
+    counters.n_capped_cells += capped
     if not free.any():
         return A, x_A, phi_A
-    if counters is not None:
-        counters.n_restarts += 1
+    counters.n_restarts += 1
     return _restricted_solve(inst, bet, A, free, x_A, phi_A, opts, counters)
 
 
@@ -251,8 +254,8 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
     t0 = time.perf_counter()
     x0 = _start_point(inst, start)
     A0 = pattern_of(inst, x0, bet)
-    x_A, phi_A, _, act = solve_cell(inst, A0, bet, warm=x0)
-    state = QspcState(pattern=A0, x=x_A, phi=phi_A, active=act)
+    x_A, phi_A, capped, act = solve_cell(inst, A0, bet, warm=x0)
+    state = QspcState(pattern=A0, x=x_A, phi=phi_A, active=act, n_capped_cells=int(capped))
     state.record("descent")
     rng = np.random.default_rng(opts.rng_seed)
 
@@ -308,5 +311,5 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
         trace=list(state.log),
         extras={"n_explore": state.n_explore, "n_restarts": state.n_restarts,
                 "n_infeasible_neighbors": state.n_infeasible_neighbors,
-                "timed_out": state.timed_out},
+                "n_capped_cells": state.n_capped_cells, "timed_out": state.timed_out},
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS_KKT, EPS_TIE, Instance, ResponseMatrix, profit
+from .model import EPS_TIE, Instance, ResponseMatrix, profit
 from .subqp import project_simplex
 
 

@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import EPS_FEAS, EPS_KKT
+from .model import EPS_FEAS
 
 _RIDGE = 1e-12
 _STALL_LIMIT = 25

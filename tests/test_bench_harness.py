@@ -10,9 +10,17 @@ tracer catches that here.
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import tariff_complex as tc
+from conftest import make_instance
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _calls(layers, span):
+    """A span's call count; a span that never opened has none."""
+    return layers.get(span, {"calls": 0})["calls"]
 
 
 def test_tracer_wraps_every_hook_and_counts_phase_one(monkeypatch):
@@ -27,6 +35,12 @@ def test_tracer_wraps_every_hook_and_counts_phase_one(monkeypatch):
     with tracer.Tracer() as tq:
         tc.qspc(quad_inst, 0.05, opts=tc.QspcOptions(rng_seed=0))
     layers, qspc_layers = tr.layers(), tq.layers()
+
+    # every cell QP, a branch-and-bound leaf's included, is one cell solve
+    # or one pure-assignment LP through a name the tracer wraps
+    assert _calls(layers, "price_complex.solve_cell") + \
+        _calls(layers, "price_complex.pure_assignment_lp") == \
+        _calls(layers, "subqp.solve_qp.price_complex")
     # every qspc cell QP, a neighbourhood scan's candidates included, is one
     # cell solve through the module-global names the tracer wraps
     assert qspc_layers["price_complex.solve_cell"]["calls"] == \
@@ -39,3 +53,19 @@ def test_tracer_wraps_every_hook_and_counts_phase_one(monkeypatch):
     assert tr.counts["subqp.solve_qp.bnb.iters"] > 0
     # every node QP goes through the module-global name the tracer wraps
     assert layers["subqp.solve_qp.bnb"]["calls"] == tr.counts["bnb.nodes"]
+
+
+def test_tracer_counts_branch_and_bound_leaf_cells(monkeypatch):
+    # a leaf closes with one cell solve: the limit cell of a pure pattern in
+    # the deterministic tree, the regularized cell in the quadratic one
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    inst = make_instance(np.random.default_rng(52), S=2, W=1, H=2)
+    for solve, span in ((tc.solve_det, "price_complex.pure_assignment_lp"),
+                        (lambda inst: tc.solve_quad(inst, 1.0), "price_complex.solve_cell")):
+        with tracer.Tracer() as tr:
+            rep = solve(inst)
+        leaves = sum(row["kind"] == "leaf" for row in rep.trace)
+        assert leaves == 1
+        assert _calls(tr.layers(), span) == leaves
+        assert _calls(tr.layers(), "subqp.solve_qp.price_complex") == leaves

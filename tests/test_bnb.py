@@ -144,7 +144,7 @@ def test_fixed_indicators_reduce_to_cell_solve():
     inst = make_instance(rng, S=2, W=2, H=1)
     beta = 1.3
     res = quad_oracle(inst, beta)
-    _, cell_val = solve_cell(inst, res.pattern, beta)
+    _, cell_val = solve_cell(inst, res.pattern, beta)[:2]
     rep = solve_quad(inst, beta, SolverOptions(gap=1e-9), fixed_z=np.array(res.pattern.A))
     assert rep.objective == pytest.approx(cell_val, abs=1e-7)
     # partial fix consistent with the optimum keeps the optimum reachable

@@ -1,5 +1,6 @@
 """The package's public surface and its numpy-only runtime."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,25 @@ def test_cli_runs_without_test_only_modules(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
     assert out.stat().st_size > 0
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never references."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_use_what_they_import():
+    # an import kept only so that code outside the package finds a name here
+    # hides which module really calls it
+    package = Path(tariff_complex.__file__).resolve().parent
+    unused = {path.stem: names for path in sorted(package.glob("*.py"))
+              if path.stem != "__init__" and (names := _unused_imports(path))}
+    assert unused == {}

@@ -56,7 +56,7 @@ def test_line_instance_cells_are_intervals():
     # threshold is inclusive, so the boundary point already concentrates
     assert pattern_of(inst, np.array([[1.75]]), beta) == walk
 
-    x, val = solve_cell(inst, only_contract, beta)
+    x, val = solve_cell(inst, only_contract, beta)[:2]
     assert val == pytest.approx(1.25, abs=1e-9)
     assert x[0, 0] == pytest.approx(1.25, abs=1e-9)
     res = quad_oracle(inst, beta)
@@ -96,7 +96,7 @@ def test_solve_cell_dominates_cell_points():
     beta = 2.0
     x0 = rng.uniform(0.5, 3.5, size=(2, 1))
     pat = pattern_of(inst, x0, beta)
-    xs, val = solve_cell(inst, pat, beta)
+    xs, val = solve_cell(inst, pat, beta)[:2]
     system = cell_system(inst, pat, beta)
     assert system.contains(xs, tol=1e-7)
     qp = cell_qp(inst, pat, beta)
@@ -117,8 +117,8 @@ def test_solve_cell_warm_start_changes_nothing():
     rng = np.random.default_rng(61)
     inst = make_instance(rng, S=2, W=1, H=2)
     pat = pattern_of(inst, inst.polytope.midpoint(), 1.0)
-    x_cold, v_cold = solve_cell(inst, pat, 1.0)
-    x_warm, v_warm = solve_cell(inst, pat, 1.0, warm=rng.uniform(0, 4, size=2))
+    x_cold, v_cold = solve_cell(inst, pat, 1.0)[:2]
+    x_warm, v_warm = solve_cell(inst, pat, 1.0, warm=rng.uniform(0, 4, size=2))[:2]
     assert v_warm == pytest.approx(v_cold, abs=1e-9)
     assert np.allclose(x_cold, x_warm, atol=1e-7)
 
@@ -163,7 +163,7 @@ def test_pure_assignment_lp_closed_form():
     # segments with reservation 3, 4, 5 buy; the best such price is x = 3
     res = pure_assignment_lp(inst, (0, 0, 1, 1, 1))
     assert res is not None
-    val, x = res
+    x, val = res[:2]
     assert val == pytest.approx(1.8, abs=1e-9)
     assert x[0, 0] == pytest.approx(3.0, abs=1e-9)
     # reservation-1 buyer cannot coexist with a reservation-2 walk-away
@@ -326,7 +326,7 @@ def _check_capped_oracle(monkeypatch, beta, seed):
     assert _oracle_report(inst, res, beta).extras == {
         "n_feasible": res.n_feasible, "n_capped": res.n_capped}
     # the local search still takes a capped cell as solved
-    _, value = solve_cell(inst, exact.pattern, beta)
+    _, value = solve_cell(inst, exact.pattern, beta)[:2]
     assert value == exact.value
     return inst, exact
 
@@ -528,7 +528,7 @@ def test_limit_rows_of_pure_patterns_match_loop_reference():
             got, want = pure_assignment_lp(inst, combo), _loop_pure_lp(inst, combo)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[0] == want[0] and _same_bytes(got[1], want[1])
+                assert got.value == want[0] and _same_bytes(got.x, want[1])
 
 
 def test_limit_cell_qp_needs_a_pure_pattern():
@@ -688,17 +688,17 @@ def test_warm_neighbour_cell_solves_agree_with_cold(size, beta, seed, data):
     inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
     x0 = _drawn_price(inst, data)
     A = pattern_of(inst, x0, beta)
-    x_A, _, _, active = price_complex._solve_cell(inst, A, beta, warm=x0)
+    x_A, _, _, active = solve_cell(inst, A, beta, warm=x0)
     seg, opt = neighbors(inst, A, x_A)
     scan = price_complex.NeighborScan(inst, A, beta, seg, opt)
     for k, (s, w) in enumerate(zip(seg.tolist(), opt.tolist())):
         cand = A.flip(s, w)
         try:
-            _, cold = solve_cell(inst, cand, beta)
+            _, cold = solve_cell(inst, cand, beta)[:2]
         except CellInfeasibleError:
             cold = None
         try:
-            _, warm, _, _ = price_complex._solve_cell(
+            _, warm, _, _ = solve_cell(
                 inst, cand, beta, warm=x_A, warm_active=scan.carry(k, active), cell=scan.cell(k))
         except CellInfeasibleError:
             warm = None
@@ -708,9 +708,9 @@ def test_warm_neighbour_cell_solves_agree_with_cold(size, beta, seed, data):
 
 
 def _solved(inst, pattern, beta, **kw):
-    """``_solve_cell``'s answer as bytes and values, or None for an empty cell."""
+    """``solve_cell``'s answer as bytes and values, or None for an empty cell."""
     try:
-        x, value, capped, active = price_complex._solve_cell(inst, pattern, beta, **kw)
+        x, value, capped, active = solve_cell(inst, pattern, beta, **kw)
     except CellInfeasibleError:
         return None
     return x.tobytes(), value, capped, active
@@ -736,7 +736,7 @@ def test_scan_cell_solves_match_solves_from_scratch(size, seed, data):
     drawn = Pattern((np.array([one, two] + rest)[:, None] >> np.arange(W + 1)) & 1)
     for A in (pattern_of(inst, x0, beta), drawn):
         try:
-            x_A, _, _, active = price_complex._solve_cell(inst, A, beta, warm=x0)
+            x_A, _, _, active = solve_cell(inst, A, beta, warm=x0)
         except CellInfeasibleError:
             x_A, active = x0, None
         seg, opt = neighbors(inst, A, x_A)
@@ -755,7 +755,7 @@ def test_empty_scan_candidate_raises():
     inst = generate(GeneratorConfig(S=5, n_company_contracts=2, seed=0))
     x0 = inst.polytope.midpoint()
     A = pattern_of(inst, x0, 0.05)
-    x_A, _, _, active = price_complex._solve_cell(inst, A, 0.05, warm=x0)
+    x_A, _, _, active = solve_cell(inst, A, 0.05, warm=x0)
     seg, opt = neighbors(inst, A, x_A)
     scan = price_complex.NeighborScan(inst, A, 0.05, seg, opt)
     empty = 0
@@ -765,6 +765,6 @@ def test_empty_scan_candidate_raises():
         except CellInfeasibleError:
             empty += 1
             with pytest.raises(CellInfeasibleError):
-                price_complex._solve_cell(inst, A.flip(s, w), 0.05, warm=x_A,
-                                          warm_active=scan.carry(k, active), cell=scan.cell(k))
+                solve_cell(inst, A.flip(s, w), 0.05, warm=x_A,
+                           warm_active=scan.carry(k, active), cell=scan.cell(k))
     assert empty

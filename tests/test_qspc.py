@@ -1,5 +1,6 @@
 """Pivoting local search with randomized block restarts."""
 
+import dataclasses
 import sys
 import types
 
@@ -8,6 +9,7 @@ import pytest
 
 from tariff_complex import (
     QspcOptions,
+    QspcState,
     explore_good_neighbors,
     miqp_restart,
     pattern_of,
@@ -17,6 +19,7 @@ from tariff_complex import (
     solve_quad,
     SolverOptions,
 )
+from tariff_complex import price_complex
 from conftest import make_instance, tie_instance
 
 
@@ -95,7 +98,7 @@ def test_degenerate_restart_is_a_no_op():
     beta = 1.0
     x0 = inst.polytope.midpoint()
     A = pattern_of(inst, x0, beta)
-    x_A, phi_A = solve_cell(inst, A, beta, warm=x0)
+    x_A, phi_A = solve_cell(inst, A, beta, warm=x0)[:2]
     opts = QspcOptions(sigma=0.0, gamma_s=0, gamma_w=0)
     A_r, x_r, phi_r = miqp_restart(inst, beta, A, opts, warm=(x_A, phi_A))
     assert A_r == A
@@ -117,7 +120,7 @@ def test_explore_returns_input_at_local_optimum(tiny_set, tiny_beta_list,
                                                 tiny_quad_oracles):
     inst, beta = tiny_set[4], tiny_beta_list[4]
     res = tiny_quad_oracles[4]
-    x_A, phi_A = solve_cell(inst, res.pattern, beta, warm=res.x)
+    x_A, phi_A = solve_cell(inst, res.pattern, beta, warm=res.x)[:2]
     A_n, x_n, phi_n = explore_good_neighbors(inst, beta, res.pattern, x_A, phi_A)
     assert A_n == res.pattern  # no single flip beats the global optimum
     assert phi_n == phi_A
@@ -129,7 +132,7 @@ def test_explore_strictly_improves_from_poor_cell():
     x0 = np.array([[5.4]])
     A = pattern_of(inst, x0, beta)
     assert np.array_equal(A.A[:, 1], np.zeros(5))  # nobody buys here
-    x_A, phi_A = solve_cell(inst, A, beta, warm=x0)
+    x_A, phi_A = solve_cell(inst, A, beta, warm=x0)[:2]
     assert phi_A == pytest.approx(0.0, abs=1e-10)
     A_n, x_n, phi_n = explore_good_neighbors(inst, beta, A, x_A, phi_A)
     assert phi_n > 0.9  # winning back the top segment pays about 0.99
@@ -140,7 +143,7 @@ def test_restricted_miqp_mode_dominates_single_flips(tiny_set, tiny_beta_list):
     inst, beta = tiny_set[5], tiny_beta_list[5]
     x0 = inst.polytope.midpoint()
     A = pattern_of(inst, x0, beta)
-    x_A, phi_A = solve_cell(inst, A, beta, warm=x0)
+    x_A, phi_A = solve_cell(inst, A, beta, warm=x0)[:2]
     _, _, phi_qp = explore_good_neighbors(
         inst, beta, A, x_A, phi_A,
         opts=QspcOptions(restart_gap=1e-9, neighbor_mode="per_pattern_qp"))
@@ -181,6 +184,43 @@ def test_restricted_solves_get_the_remaining_budget(monkeypatch):
     assert len(seen) >= 2
     assert all(got <= left for got, left in seen)
     assert rep.extras["timed_out"]
+
+
+def test_iteration_capped_cells_are_counted(monkeypatch):
+    # a cell QP that stops at its cap gives a feasible point, not a certified
+    # cell optimum; the search takes it as solved and counts each of its own
+    # capped cell solves: the start, every scan candidate and every
+    # restart's re-anchor (a restart tree's leaves are that tree's count)
+    module = sys.modules["tariff_complex.qspc"]
+    inst = make_instance(np.random.default_rng(181), S=3, W=2, H=1)
+    modes = [QspcOptions(r_max=2), QspcOptions(r_max=2, neighbor_mode="restricted_miqp")]
+    ref = [qspc(inst, 1.0, opts=opts) for opts in modes]
+    assert [rep.extras["n_capped_cells"] for rep in ref] == [0, 0]
+    real_qp, real_cell, hits = price_complex.solve_qp, module.solve_cell, [0]
+
+    def capped(prob, **kw):
+        sol = real_qp(prob, **kw)
+        if sol.status == "optimal":
+            return dataclasses.replace(sol, status="iteration_limit")
+        return sol
+
+    def counted(*args, **kw):
+        cell = real_cell(*args, **kw)
+        hits[0] += cell.capped
+        return cell
+
+    monkeypatch.setattr(price_complex, "solve_qp", capped)
+    monkeypatch.setattr(module, "solve_cell", counted)
+    for opts, want in zip(modes, ref):
+        hits[0] = 0
+        rep = qspc(inst, 1.0, opts=opts)
+        assert rep.extras["n_capped_cells"] == hits[0] > 0
+        assert rep.objective == want.objective and rep.pattern == want.pattern
+    # a restart that solves its incumbent's cell itself counts that solve too
+    state = QspcState(pattern=want.pattern, x=want.x, phi=want.objective)
+    hits[0] = 0
+    miqp_restart(inst, 1.0, want.pattern, QspcOptions(), counters=state)
+    assert state.n_capped_cells == hits[0] >= 1
 
 
 def test_heuristic_stays_below_exact_bound():
