@@ -33,13 +33,11 @@ free, else the pinned value).  Each tree reduces its program once, with
 every row a node may append (``_Program.node_G``), and each node QP takes
 its rows from that reduction, bit for bit as if it reduced its own problem.
 A child fixes one more indicator, which adds (det: tightens) one row, so it
-starts from the parent's optimum and final working set (``active_set``,
-mapped to the child's rows: det node rows keep their positions, and a
-regularized child's pin rows after the new one move down by one); nodes
-carry row indices, never a factor.  The active-set method then repairs the
-one violated row instead of running a phase 1 over all rows and picking a
-fresh working set.  Search order is best
-bound (ties FIFO), branching is on the most fractional indicator (ties
+starts from the parent's optimum and final working set, named as rows of the
+tree's program; nodes carry row indices, never a factor.  The active-set
+method then repairs the one violated row instead of running a phase 1 over
+all rows and picking a fresh working set.  Search order is best bound (ties
+FIFO), branching is on the most fractional indicator (ties
 lexicographic by (segment, option)).  A regularized indicator's value is the
 point of ``[y, 1 - s/M]`` nearest an integer, so its fractionality is
 ``min(y, s/M)``.  Every incumbent is rebuilt from an exact response
@@ -151,7 +149,7 @@ class SolveReport:
 class _Node:
     fixed: np.ndarray  # per indicator: -1 free, else pinned at 0 or 1
     warm: np.ndarray | None  # the parent's optimum
-    active: list[int] | None  # the parent's final working set, in this node's rows
+    active: np.ndarray | None  # the parent's final working set, in the tree's rows
     parent_bound: float
 
 
@@ -187,18 +185,6 @@ class _Program:
     node_G: np.ndarray
     node_h: np.ndarray
     free_h: np.ndarray | None = None
-
-    def child_rows(self, rows: list[int], fixed: np.ndarray, j: int) -> list[int]:
-        """A node's row indices in its child that also fixes indicator j.
-
-        Det node rows keep their positions.  A regularized node appends one
-        row per fixed indicator in indicator order, so the rows after the
-        child's new row for j move down by one.
-        """
-        if self.free_h is not None:
-            return list(rows)
-        at = self.qp.G.shape[0] + int(np.count_nonzero(fixed[:j] >= 0))
-        return [i + (i >= at) for i in rows]
 
 
 def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Program:
@@ -497,7 +483,7 @@ def _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,
             kind = "leaf"
         else:
             j = int(np.argmax(frac))  # first max = lexicographic (s, w) tie-break
-            active = prog.child_rows(sol.active_set, node.fixed, j)
+            active = rows[sol.active_set]
             for v in (0, 1):
                 fixed = node.fixed.copy()
                 fixed[j] = v

@@ -290,12 +290,12 @@ def solve_cell(inst: Instance, pattern: Pattern, beta: Beta | float | None,
     it the optimum within solver tolerance (one cell's value near 69 was
     seen to move by 2e-5).
 
-    ``warm_active`` are independent rows of the cell system, such as a
-    neighbour cell's final working set at ``warm`` carried over by
-    :meth:`NeighborScan.carry`; :func:`subqp.solve_qp` starts from those
-    tight there.  ``cell`` is the cell's ``(problem, d, reduced)`` from
-    :meth:`NeighborScan.cell`, whose rows are already reduced; without it
-    the cell is assembled and reduced here.
+    ``warm_active`` are rows of the cell's reduction (the scan's union rows
+    with ``cell``, else the cell system's), such as a neighbour cell's final
+    working set at ``warm``; :func:`subqp.solve_qp` drops those this cell
+    lacks and starts from the rest tight there.  ``cell`` is the cell's
+    ``(problem, d, reduced)`` from :meth:`NeighborScan.cell`, whose rows are
+    already reduced; without it the cell is assembled and reduced here.
     """
     if cell is None:
         qp = cell_qp(inst, pattern, beta)
@@ -324,8 +324,8 @@ class NeighborScan:
     k's rows are union rows in :func:`cell_system` order, and its Q, c and
     d are the in-order sums of the incumbent's terms with segment
     ``seg[k]``'s replaced, so every array is byte-identical to
-    :func:`cell_system` and :func:`cell_qp` of the flipped pattern.  A scan
-    lives as long as one neighbourhood.
+    :func:`cell_system` and :func:`cell_qp` of the flipped pattern.  The
+    incumbent's working set names union rows.  A scan serves one neighbourhood.
     """
 
     def __init__(self, inst: Instance, pattern: Pattern, beta: Beta | float,
@@ -356,15 +356,6 @@ class NeighborScan:
         box = np.arange(m, m + h_box.size)
         self.rows = [np.concatenate([at[o][at[o] >= 0], box]) for o in self.order]
         self.terms = _segment_terms(inst, g, r, blocks, segs, b)
-
-    def carry(self, k: int, active) -> list[int]:
-        """Rows of the incumbent's cell system, such as its final working
-        set, as rows of candidate k's, in order; the flipped segment's rows
-        are dropped."""
-        pos = np.full(self.h.size, -1)
-        pos[self.rows[k]] = np.arange(self.rows[k].size)
-        out = pos[np.asarray(active, dtype=int)]
-        return out[out >= 0].tolist()
 
     def cell(self, k: int) -> tuple[QpProblem, float, tuple]:
         """Candidate k's ``(problem, d, reduced)`` for :func:`solve_cell`."""

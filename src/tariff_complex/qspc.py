@@ -14,7 +14,8 @@ restricted programs take one path: the other indicators are pinned to
 ``A``, ``solve_quad`` runs from the incumbent, and its answer is re-anchored
 to its pattern's cell optimum and adopted only if it strictly improves.  A
 cell QP that stops at its iteration cap is taken as solved and counted in
-``extras["n_capped_cells"]``.
+``extras["n_capped_cells"]``, and the restricted trees' own such counts are
+summed under their names (``iteration_limit_nodes`` and ``_leaves``).
 
 A flip rewrites only its own segment's rows and profit terms of the cell
 QP, so the per-pattern scan assembles all its candidate cells at once
@@ -22,10 +23,10 @@ QP, so the per-pattern scan assembles all its candidate cells at once
 flip's new segment in one batched pass, and one union of their rows,
 reduced once per scan, from which each candidate's solve takes its own
 rows.  The state also keeps the final working set of the incumbent's cell
-QP.  Each candidate cell is solved from ``x_A`` and that working set less
-the flipped segment's rows, mapped onto the candidate's rows.  A warm start
+QP, whose rows are the union's first.  Each candidate cell is solved from
+``x_A`` and that working set, less the flipped segment's rows.  A warm start
 that violates one candidate row then takes a one-row repair, and one that
-violates none starts from the mapped rows tight there, instead of a cold
+violates none starts from the given rows tight there, instead of a cold
 phase 1 or a rank scan.
 
 All randomness flows through one generator seeded by ``rng_seed``; repeated
@@ -108,6 +109,8 @@ class QspcState:
     n_restarts: int = 0
     n_infeasible_neighbors: int = 0
     n_capped_cells: int = 0
+    iteration_limit_nodes: int = 0
+    iteration_limit_leaves: int = 0
     timed_out: bool = False
 
     def record(self, phase: str):
@@ -128,8 +131,7 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
     the result does not depend on evaluation order.  The candidate cells
     share one :class:`NeighborScan`: their rows are reduced together once.
     With the search state as ``counters``, each candidate cell starts from
-    the incumbent's working set mapped onto its rows
-    (:meth:`NeighborScan.carry`).
+    the incumbent's working set, whose rows are the scan's first.
     """
     opts = opts or QspcOptions()
     counters = counters or QspcState(pattern=A, x=x_A, phi=phi_A)
@@ -149,9 +151,8 @@ def explore_good_neighbors(inst: Instance, beta: Beta | float, A: Pattern,
     cands = [A.flip(s, w) for s, w in zip(seg.tolist(), opt.tolist())]
     scan = NeighborScan(inst, A, bet, seg, opt)
     for k, cand in enumerate(cands):
-        rows = None if active is None else scan.carry(k, active)
         try:
-            sol = solve_cell(inst, cand, bet, warm=x_A, warm_active=rows, cell=scan.cell(k))
+            sol = solve_cell(inst, cand, bet, warm=x_A, warm_active=active, cell=scan.cell(k))
         except CellInfeasibleError:
             counters.n_infeasible_neighbors += 1
             continue
@@ -180,6 +181,8 @@ def _restricted_solve(inst, bet, A, free, x_A, phi_A, opts, counters):
                      fixed_z=fz, warm_incumbent=x_A)
     if rep.status == "time_limit":
         counters.timed_out = True
+    counters.iteration_limit_nodes += rep.extras["iteration_limit_nodes"]
+    counters.iteration_limit_leaves += rep.extras["iteration_limit_leaves"]
     if not rep.has_incumbent() or rep.pattern == A:
         return A, x_A, phi_A
     try:
@@ -309,7 +312,7 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
         node_count=0,
         wall_time_s=time.perf_counter() - t0,
         trace=list(state.log),
-        extras={"n_explore": state.n_explore, "n_restarts": state.n_restarts,
-                "n_infeasible_neighbors": state.n_infeasible_neighbors,
-                "n_capped_cells": state.n_capped_cells, "timed_out": state.timed_out},
+        extras={k: getattr(state, k) for k in (
+            "n_explore", "n_restarts", "n_infeasible_neighbors", "n_capped_cells",
+            "iteration_limit_nodes", "iteration_limit_leaves", "timed_out")},
     )

@@ -26,7 +26,7 @@ parent) skips that scan: phase 1 becomes a repair that relaxes the one
 violated row alone and starts from the given rows, and the main loop starts
 from the repair's final rows among them plus the new row, which joins unless
 they span it.  A warm start that violates no row, given with rows such as a
-neighbour cell's final working set mapped onto this problem's rows, skips
+neighbour cell's final working set (rows of a reduction they share), skips
 phase 1 and starts the main loop from those of the rows tight there.  The
 working set is factorized by a Householder QR of its
 rows' transpose: the trailing columns of the orthogonal factor span the null
@@ -589,15 +589,17 @@ def solve_qp(prob: QpProblem, warm_start: np.ndarray | None = None,
 
     ``warm_start`` is projected onto the equality manifold and used when
     feasible, otherwise it seeds the phase-1 search.  ``warm_active`` are
-    rows of ``prob.G`` independent after the equalities are eliminated,
-    such as the final working set (``QpSolution.active_set``) of a problem
-    with one row fewer, whose optimum is ``warm_start``.  When the warm
-    start violates exactly one row, they turn phase 1 into a repair that
-    relaxes that row alone and starts from the given rows still tight, and
-    the main loop starts from the repair's final rows among them, plus the
-    violated row unless they span it.  When it violates no row, the main
-    loop starts from the given rows tight there instead of a rank scan.
-    When it violates two or more, ``warm_active`` is ignored.
+    rows of the reduction the solve runs on (``red``'s with ``reduced``,
+    else ``prob.G``'s; others raise ValueError), independent after the
+    equalities are eliminated, such as the final working set
+    (``rows[sol.active_set]``) of a problem with one row fewer, whose
+    optimum is ``warm_start``; those prob does not pick are dropped.  When
+    the warm start violates exactly one row, they turn phase 1 into a repair
+    that relaxes that row alone and starts from the given rows still tight,
+    and the main loop starts from the repair's final rows among them, plus
+    the violated row unless they span it.  When it violates no row, the main
+    loop starts from the given rows tight there instead of a rank scan.  When
+    it violates two or more, ``warm_active`` is ignored.
     ``reduced = (red, rows)`` skips the reduction: ``red`` is
     :func:`reduce_qp` of a program with prob's Q, c, A and b whose rows
     ``rows`` (any h) are prob's rows of G, in order, or :func:`reduce_rows`
@@ -641,6 +643,14 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     row_norms = norms[keep]
     hn = hu[keep] / row_norms
     cap = 50 * (nu + Gn.shape[0]) + 50
+    if warm_active is not None:  # rows of red, as positions among the kept rows
+        act, pos = np.asarray(warm_active, dtype=int), np.full(red.Gn.shape[0], -1)
+        bad = act[(act < 0) | (act >= pos.size)]
+        if bad.size:
+            raise ValueError(f"warm_active rows {bad.tolist()} are not rows of the reduction")
+        pos[rows[keep]] = np.arange(keep.size)
+        act = pos[act]
+        act = act[act >= 0]
 
     if nu == 0:
         z = red.z0
@@ -657,11 +667,6 @@ def _solve_qp_inner(prob, warm_start, ridge, warm_active=None, reduced=None):
     if warm_start is not None:
         uw = red.to_u(np.asarray(warm_start, dtype=float).ravel())
         over = np.flatnonzero(Gn @ uw - hn > 1e-9) if Gn.shape[0] else []
-        if warm_active is not None:
-            pos = np.full(prob.G.shape[0], -1)
-            pos[keep] = np.arange(keep.size)
-            act = pos[np.asarray(warm_active, dtype=int)]
-            act = act[act >= 0]
         if not len(over):
             u_start = uw
             if warm_active is not None:

@@ -454,12 +454,13 @@ def _child(fixed, j, v):
 
 def _warm_and_cold(prog, parent, fixed, j, v):
     """The child of the fixing vector that fixes indicator j at v, solved
-    from the parent's optimum and working set and solved cold; both must
-    agree."""
-    rows = prog.child_rows(parent.active_set, fixed, j)
+    on the tree's reduction from the parent's optimum and working set (as
+    rows of the tree's program) and solved cold; both must agree."""
+    active = bnb._node_problem(prog, fixed)[1][parent.active_set]
     fixed = _child(fixed, j, v)
-    prob, _ = bnb._node_problem(prog, fixed)
-    warm = subqp.solve_qp(prob, warm_start=parent.z, warm_active=rows)
+    prob, rows = bnb._node_problem(prog, fixed)
+    warm = subqp.solve_qp(prob, warm_start=parent.z, warm_active=active,
+                          reduced=(bnb._tree_reduction(prog), rows))
     cold = subqp.solve_qp(prob)
     assert warm.status == cold.status
     assert warm.status in ("optimal", "infeasible")
@@ -522,13 +523,37 @@ def test_warm_child_solve_agrees_with_cold(model, S, W, seed, path):
     assert repairs[before] and all(starts)
 
 
-def _tree_and_one_shot(prog, tree, fixed, **warm):
-    """The node QP solved on the tree's reduction and reduced alone; both
-    must agree bit for bit."""
+def _tree_and_one_shot(prog, tree, fixed, warm=None, active=None):
+    """The node QP solved on the tree's reduction and reduced alone, from
+    the warm working set ``active`` (rows of the tree's program) if given;
+    both must agree bit for bit.  Returns the solution and the node's rows."""
     prob, rows = bnb._node_problem(prog, fixed)
-    sol = subqp.solve_qp(prob, reduced=(tree, rows), **warm)
-    assert_same_solution(sol, subqp.solve_qp(prob, **warm))
-    return sol
+    sol = subqp.solve_qp(prob, warm_start=warm, warm_active=active, reduced=(tree, rows))
+    # reduced alone, the working set is named as rows of the node's own G
+    local = None if active is None else np.searchsorted(rows, active).tolist()
+    assert_same_solution(sol, subqp.solve_qp(prob, warm_start=warm, warm_active=local))
+    return sol, rows
+
+
+def _assert_child_rows(prog, fixed, j, v):
+    """The node problems of a fixing vector and of its child that fixes
+    indicator j at v are the tree program's rows ``rows``, byte for byte in
+    G; every parent row is a child row with the same bytes in h too, but
+    the child's new pin (det: the row it tightens), whose G and h are
+    ``node_G``'s and ``node_h``'s."""
+    parent, p_rows = bnb._node_problem(prog, fixed)
+    kid, c_rows = bnb._node_problem(prog, _child(fixed, j, v))
+    G = np.vstack([prog.qp.G, prog.node_G])
+    assert _same_bytes(parent.G, G[p_rows]) and _same_bytes(kid.G, G[c_rows])
+    assert np.all(np.diff(c_rows) > 0)  # in order, as searchsorted needs
+    pin = prog.qp.G.shape[0] + 2 * j + v
+    assert np.isin(p_rows, c_rows).all()
+    same = p_rows != pin
+    assert _same_bytes(kid.h[np.searchsorted(c_rows, p_rows[same])], parent.h[same])
+    assert set(c_rows.tolist()) - set(p_rows[same].tolist()) == {pin}
+    k = int(np.searchsorted(c_rows, pin))
+    assert _same_bytes(kid.G[k], prog.node_G[2 * j + v])
+    assert _same_bytes(kid.h[k], prog.node_h[2 * j + v])
 
 
 @settings(max_examples=12, deadline=None)
@@ -538,53 +563,30 @@ def _tree_and_one_shot(prog, tree, fixed, **warm):
 def test_tree_reduced_node_solve_matches_one_shot(model, S, W, seed, path):
     # a tree reduces its program once with every row a node may append; down
     # a random path of most-fractional branches, each warm child (and the
-    # cold root) must solve as if its node QP were reduced alone
+    # cold root) must solve as if its node QP were reduced alone.  A child
+    # names its parent's working set as rows of the tree's program, so each
+    # node's rows must be that program's rows, byte for byte, and both
+    # children must keep every parent row's bytes but their new pin's
     inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
     prog, mm = _program(inst, model)
     tree = bnb._tree_reduction(prog)
     fixed = np.full(prog.bin_idx.size, -1, dtype=np.int8)
-    parent = _tree_and_one_shot(prog, tree, fixed)
+    parent, rows = _tree_and_one_shot(prog, tree, fixed)
     for side in path:
         if parent.status != "optimal":
             break
         j, frac = _most_fractional(prog, mm, parent.z, fixed)
         if frac <= 1e-6:
             break
-        active = prog.child_rows(parent.active_set, fixed, j)
+        for v in (0, 1):
+            _assert_child_rows(prog, fixed, j, v)
         fixed = _child(fixed, j, side)
-        parent = _tree_and_one_shot(prog, tree, fixed, warm_start=parent.z,
-                                    warm_active=active)
+        parent, rows = _tree_and_one_shot(prog, tree, fixed, parent.z, rows[parent.active_set])
 
     # the PSD check runs once per tree, on the tree's reduction
     bad = dataclasses.replace(prog, qp=dataclasses.replace(prog.qp, Q=-np.eye(prog.qp.n)))
     with pytest.raises(ValueError):
         bnb._tree_reduction(bad)
-
-
-@settings(max_examples=40, deadline=None)
-@given(model=st.sampled_from(["det", "quad"]), S=st.integers(2, 4), W=st.integers(1, 3),
-       seed=st.integers(0, 2**31 - 1), data=st.data())
-def test_child_rows_map_parent_rows_onto_the_child(model, S, W, seed, data):
-    # child_rows carries a parent's working set into its child: every parent
-    # row must land on a child row with the same bytes in G and h, and the
-    # child's one other row (det: the row it tightens) is the new pin
-    inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
-    prog, _ = _program(inst, model)
-    n_bin = prog.bin_idx.size
-    fixed = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=n_bin, max_size=n_bin)),
-                     dtype=np.int8)
-    fixed[data.draw(st.integers(0, n_bin - 1))] = -1
-    j = data.draw(st.sampled_from(np.flatnonzero(fixed < 0).tolist()))
-    v = data.draw(st.integers(0, 1))
-    parent, _ = bnb._node_problem(prog, fixed)
-    child, _ = bnb._node_problem(prog, _child(fixed, j, v))
-    rows = prog.child_rows(range(parent.G.shape[0]), fixed, j)
-    same = [_same_bytes(child.G[r], parent.G[i]) and _same_bytes(child.h[r], parent.h[i])
-            for i, r in enumerate(rows)]
-    other = sorted(set(range(child.G.shape[0])) - {r for r, ok in zip(rows, same) if ok})
-    assert len(other) == 1
-    assert _same_bytes(child.G[other[0]], prog.node_G[2 * j + v])
-    assert _same_bytes(child.h[other[0]], prog.node_h[2 * j + v])
 
 
 def _assert_det_matches_milp(g):

@@ -635,11 +635,11 @@ def _drawn_beta(inst, beta, data):
        beta=st.sampled_from([0.05, 0.5, "per-segment"]),
        seed=st.integers(0, 2**31 - 1), data=st.data())
 def test_flip_rows_carry_every_other_row_onto_the_neighbour(size, beta, seed, data):
-    # the search hands a neighbour cell the incumbent's working set through
-    # NeighborScan.carry: every row outside the flipped segment must land on
-    # a row of the neighbour's system with the same bytes in G and h, and
-    # every neighbour row outside that segment must be one row's image; the
-    # scan's rows, Q, c and d of each neighbour are cell_system's and
+    # the search hands a neighbour cell the incumbent's working set as union
+    # rows of the scan: the union's first rows are the incumbent's cell
+    # system, every one outside the flipped segment must be a row of the
+    # neighbour and every neighbour row outside that segment one of them;
+    # the scan's rows, Q, c and d of each neighbour are cell_system's and
     # cell_qp's, byte for byte
     S, W = size
     inst = generate(GeneratorConfig(S=S, n_company_contracts=W, seed=seed))
@@ -656,20 +656,9 @@ def test_flip_rows_carry_every_other_row_onto_the_neighbour(size, beta, seed, da
         B = A.flip(s, w)
         sys_b = cell_system(inst, B, beta)
         seg_b = _row_segments(B, sys_b.h.size)
-        images = []
-        for r in range(sys_a.h.size):
-            got = scan.carry(k, [r])
-            if seg_a[r] == s:
-                assert got == []
-                continue
-            (j,) = got
-            assert seg_b[j] == seg_a[r] != s
-            assert sys_b.G[j].tobytes() == sys_a.G[r].tobytes()
-            assert sys_b.h[j].tobytes() == sys_a.h[r].tobytes()
-            images.append(j)
-        assert images == np.flatnonzero(seg_b != s).tolist()
-        assert scan.carry(k, range(sys_a.h.size)) == images
         prob, d, (red, rows) = scan.cell(k)
+        assert np.isin(np.arange(m_a), rows).tolist() == (seg_a != s).tolist()
+        assert (rows < m_a).tolist() == (seg_b != s).tolist()
         qp = cell_qp(inst, B, beta)
         assert _same_bytes(prob.G, sys_b.G) and _same_bytes(prob.h, sys_b.h)
         assert _same_bytes(prob.Q, -qp.Q) and _same_bytes(prob.c, -qp.c)
@@ -699,12 +688,18 @@ def test_warm_neighbour_cell_solves_agree_with_cold(size, beta, seed, data):
             cold = None
         try:
             _, warm, _, _ = solve_cell(
-                inst, cand, beta, warm=x_A, warm_active=scan.carry(k, active), cell=scan.cell(k))
+                inst, cand, beta, warm=x_A, warm_active=active, cell=scan.cell(k))
         except CellInfeasibleError:
             warm = None
         assert (warm is None) == (cold is None)
         if cold is not None:
             assert abs(warm - cold) <= 1e-7 * max(1.0, abs(cold))
+
+
+def _local_rows(rows, union_rows):
+    """The positions in ``rows`` of those ``union_rows`` it holds, in order."""
+    pos = {r: i for i, r in enumerate(rows.tolist())}
+    return [pos[r] for r in union_rows if r in pos]
 
 
 def _solved(inst, pattern, beta, **kw):
@@ -743,9 +738,11 @@ def test_scan_cell_solves_match_solves_from_scratch(size, seed, data):
         scan = price_complex.NeighborScan(inst, A, beta, seg, opt)
         for k, (s, w) in enumerate(zip(seg.tolist(), opt.tolist())):
             cand = A.flip(s, w)
-            rows = None if active is None else scan.carry(k, active)
-            assert _solved(inst, cand, beta, warm=x_A, warm_active=rows, cell=scan.cell(k)) == \
-                _solved(inst, cand, beta, warm=x_A, warm_active=rows)
+            # through the scan the working set names union rows, on its own
+            # rows of the candidate's cell system
+            local = None if active is None else _local_rows(scan.rows[k], active)
+            assert _solved(inst, cand, beta, warm=x_A, warm_active=active, cell=scan.cell(k)) == \
+                _solved(inst, cand, beta, warm=x_A, warm_active=local)
     m_A = cell_system(inst, drawn, beta).h.size
     assert {-1, 1} <= {rows.size - m_A for rows in scan.rows}
 
@@ -765,6 +762,6 @@ def test_empty_scan_candidate_raises():
         except CellInfeasibleError:
             empty += 1
             with pytest.raises(CellInfeasibleError):
-                solve_cell(inst, A.flip(s, w), 0.05, warm=x_A,
-                           warm_active=scan.carry(k, active), cell=scan.cell(k))
+                solve_cell(inst, A.flip(s, w), 0.05, warm=x_A, warm_active=active,
+                           cell=scan.cell(k))
     assert empty

@@ -190,17 +190,21 @@ def test_iteration_capped_cells_are_counted(monkeypatch):
     # a cell QP that stops at its cap gives a feasible point, not a certified
     # cell optimum; the search takes it as solved and counts each of its own
     # capped cell solves: the start, every scan candidate and every
-    # restart's re-anchor (a restart tree's leaves are that tree's count)
+    # restart's re-anchor.  A restart tree's capped node QPs and leaves are
+    # that tree's counts, summed into the search's report under their names,
+    # so that every capped cell QP is counted once
     module = sys.modules["tariff_complex.qspc"]
     inst = make_instance(np.random.default_rng(181), S=3, W=2, H=1)
     modes = [QspcOptions(r_max=2), QspcOptions(r_max=2, neighbor_mode="restricted_miqp")]
     ref = [qspc(inst, 1.0, opts=opts) for opts in modes]
-    assert [rep.extras["n_capped_cells"] for rep in ref] == [0, 0]
-    real_qp, real_cell, hits = price_complex.solve_qp, module.solve_cell, [0]
+    keys = ("n_capped_cells", "iteration_limit_nodes", "iteration_limit_leaves")
+    assert [rep.extras[k] for rep in ref for k in keys] == [0] * 6
+    real_qp, real_cell, hits, all_capped = price_complex.solve_qp, module.solve_cell, [0], [0]
 
     def capped(prob, **kw):
         sol = real_qp(prob, **kw)
         if sol.status == "optimal":
+            all_capped[0] += 1
             return dataclasses.replace(sol, status="iteration_limit")
         return sol
 
@@ -211,11 +215,18 @@ def test_iteration_capped_cells_are_counted(monkeypatch):
 
     monkeypatch.setattr(price_complex, "solve_qp", capped)
     monkeypatch.setattr(module, "solve_cell", counted)
+    counts = []
     for opts, want in zip(modes, ref):
-        hits[0] = 0
+        hits[0] = all_capped[0] = 0
         rep = qspc(inst, 1.0, opts=opts)
         assert rep.extras["n_capped_cells"] == hits[0] > 0
+        assert rep.extras["iteration_limit_nodes"] == 0  # node QPs are not cell QPs
+        assert rep.extras["n_capped_cells"] + rep.extras["iteration_limit_leaves"] == all_capped[0]
         assert rep.objective == want.objective and rep.pattern == want.pattern
+        counts.append((rep.extras["n_capped_cells"], rep.extras["iteration_limit_leaves"]))
+    # per pattern, every capped cell QP is the search's own; in the
+    # restricted mode, two are leaves of its restart trees
+    assert counts[0][1] == 0 and counts[1] == (3, 2)
     # a restart that solves its incumbent's cell itself counts that solve too
     state = QspcState(pattern=want.pattern, x=want.x, phi=want.objective)
     hits[0] = 0

@@ -1,6 +1,7 @@
 """Active-set QP/LP solver and simplex projection, checked against scipy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ def test_warm_start_agrees_with_cold():
     warm = solve_qp(prob, warm_start=rng.uniform(-1, 1, n))
     assert cold.status == warm.status == "optimal"
     assert np.allclose(cold.z, warm.z, atol=1e-9)
+
+
+def test_warm_rows_outside_the_reduction_are_rejected():
+    # warm rows name rows of the reduction the solve runs on: prob's own G
+    # without ``reduced``, else the reduction's rows.  A negative row must not
+    # wrap to a row from the end, and a row past the end must not surface as
+    # a bare IndexError; a reduction row that prob does not pick is dropped
+    Q, c, box = np.eye(2), np.array([3.0, -3.0]), np.vstack([np.eye(2), -np.eye(2)])
+    prob = QpProblem(Q=Q, c=c, G=box, h=np.ones(4))
+    red = reduce_qp(QpProblem(Q=Q, c=c, G=np.vstack([box, [[1.0, 1.0]]]), h=np.zeros(5)))
+    on_red = dict(reduced=(red, np.arange(4)))
+    for rows, kw, named in (([-4, -3], {}, "[-4, -3]"), ([1, 4], {}, "[4]"),
+                            ([-1, 0], on_red, "[-1]"), ([0, 5, 6], on_red, "[5, 6]")):
+        with pytest.raises(ValueError, match=re.escape(f"warm_active rows {named}")):
+            solve_qp(prob, warm_start=np.zeros(2), warm_active=rows, **kw)
+    # at the optimal vertex (-1, 1), rows 1 and 2 are tight
+    vertex = np.array([-1.0, 1.0])
+    assert_same_solution(solve_qp(prob, warm_start=vertex, warm_active=[1, 2, 4], **on_red),
+                         solve_qp(prob, warm_start=vertex, warm_active=[1, 2]))
 
 
 def test_solver_is_deterministic():
@@ -442,8 +462,11 @@ def test_reduced_rows_solve_matches_one_shot(n, m, k, eq, lp, scale, seed):
     assert_same_solution(solve_qp(prob(rows), reduced=(red_rows, rows)), one_shot)
     if parent.status != "optimal":
         return
-    kw = dict(warm_start=parent.z, warm_active=[i + (i >= at) for i in parent.active_set])
-    one_shot = solve_qp(prob(rows), **kw)
+    # the one-shot solve names the parent's working set as rows of its own G,
+    # the reduced solves as rows of the reduction
+    one_shot = solve_qp(prob(rows), warm_start=parent.z,
+                        warm_active=[i + (i >= at) for i in parent.active_set])
+    kw = dict(warm_start=parent.z, warm_active=np.delete(rows, at)[parent.active_set])
     assert_same_solution(solve_qp(prob(rows), reduced=(red, rows), **kw), one_shot)
     assert_same_solution(solve_qp(prob(rows), reduced=(red_rows, rows), **kw), one_shot)
 
