@@ -17,6 +17,10 @@ activation indicators switched by big-M rows:
   complementarity pairs (Bard & Moore, SIAM J. Sci. Stat. Comput. 11, 1990;
   Hu, Mitchell, Pang, Bennett & Kunapuli, SIAM J. Optim. 19, 2008):
   indicator 0 appends ``y_sw <= 0``, indicator 1 appends ``s_sw <= 0``.
+  Indicators pinned at the root (``fixed_z``) hold as equalities instead,
+  ``y_sw = 0`` or ``s_sw = 0``, which each tree eliminates with the other
+  equalities once (the fixed-variable substitution of MIP presolve:
+  Achterberg, Bixby, Gu, Rothberg & Weninger, INFORMS J. Comput. 32, 2020).
 
 The deterministic program is the limit of the regularized one: the same
 columns and big-M rows without the ``(2/beta_s) ybar`` column and the
@@ -29,9 +33,10 @@ point, and how an integral node point is closed: by its cell's optimum
 
 Node relaxations drop integrality and are convex, solved by the in-house
 active-set method.  A node is a fixing vector in ``fixed_z``'s format (-1
-free, else the pinned value).  Each tree reduces its program once, with
-every row a node may append (``_Program.node_G``), and each node QP takes
-its rows from that reduction, bit for bit as if it reduced its own problem.
+free, else the pinned value).  Each tree reduces its program once, the
+root's pins among its equalities, with every row a node may append
+(``_Program.node_G``), and each node QP takes its rows from that
+reduction, bit for bit as if it reduced its own problem.
 A child fixes one more indicator, which adds (det: tightens) one row, so it
 starts from the parent's optimum and final working set, named as rows of the
 tree's program; nodes carry row indices, never a factor.  The active-set
@@ -56,7 +61,7 @@ from __future__ import annotations
 import heapq
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -160,11 +165,9 @@ class _Incumbent:
         self.response = None
         self.pattern = None
 
-    def offer(self, value, x, response, pattern) -> bool:
+    def offer(self, value, x, response, pattern) -> None:
         if value > self.value:
             self.value, self.x, self.response, self.pattern = value, x, response, pattern
-            return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -175,15 +178,17 @@ class _Program:
     (-1 free, else the pinned value), and ``node_G v <= node_h`` are the
     rows it may append (``_node_rows``): row 2k pins indicator k at 0, row
     2k + 1 pins it at 1; det ``y_k <= 0`` and ``-y_k <= -1``, regularized
-    ``y_k <= 0`` and ``s_k <= 0``.  A regularized node appends its pins; a
-    det node appends every row, bounded by ``free_h`` (``y_k <= 1``,
-    ``-y_k <= 0``) where it pins nothing."""
+    ``y_k <= 0`` and ``s_k <= 0``.  A regularized node appends its pins but
+    those in ``pinned``, which ``A v = b`` already holds as equalities
+    (``_pin_equalities``); a det node appends every row, bounded by
+    ``free_h`` (``y_k <= 1``, ``-y_k <= 0``) where it pins nothing."""
 
     qp: QpProblem
     bin_idx: np.ndarray
     x_shape: tuple[int, int]
     node_G: np.ndarray
     node_h: np.ndarray
+    pinned: np.ndarray  # per indicator: its pin is an equality of ``qp``
     free_h: np.ndarray | None = None
 
 
@@ -244,17 +249,50 @@ def _bigm_program(inst: Instance, mm: BigM, bs: np.ndarray | None = None) -> _Pr
         node_G[2 * k, iy] = 1.0
         node_G[2 * k + 1, iy] = -1.0
         return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), node_G=node_G,
-                        node_h=np.tile([0.0, -1.0], n_bin), free_h=np.tile([1.0, 0.0], n_bin))
+                        node_h=np.tile([0.0, -1.0], n_bin), pinned=np.zeros(n_bin, dtype=bool),
+                        free_h=np.tile([1.0, 0.0], n_bin))
     first = G_box.shape[0] + rows * k
     pins = np.column_stack([first + 2, first]).ravel()  # -y <= 0 and -s <= 0, negated
-    return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), node_G=-qp.G[pins], node_h=-qp.h[pins])
+    return _Program(qp=qp, bin_idx=iy, x_shape=(W, H), node_G=-qp.G[pins], node_h=-qp.h[pins],
+                    pinned=np.zeros(n_bin, dtype=bool))
+
+
+def _pin_equalities(prog: _Program, fixed: np.ndarray) -> tuple[_Program, np.ndarray]:
+    """The regularized ``prog`` with the pins of the fixing vector ``fixed``
+    as equalities, and ``fixed`` with the pins they imply.
+
+    Pin 0 is ``y_k = 0`` and pin 1 ``s_k = 0``: the row ``node_G[2k + z_k]``
+    at bound ``node_h[2k + z_k]``, appended to ``A``, ``b``.  The program is
+    the same set, since ``-y_k <= 0`` and ``-s_k <= 0`` are rows already,
+    but its reduction eliminates the pins once and keeps them out of every
+    working set.  A segment whose options but one are pinned at 0 puts its
+    whole mass on that one, ``y_k = 1``, so ``s_k = 0``: that option is
+    pinned at 1 too.  Left free, its rows ``-s_k <= 0`` and ``s_k + M_k y_k
+    <= M_k`` would reduce to an opposite pair that roundoff keeps apart,
+    which the active-set method takes for independent rows.  Each pin row is
+    scaled to unit norm: unscaled, an ``s_k`` row's bill coefficients set
+    the null space's roundoff, and a row the pins make constant (``s_k +
+    M_k y_k <= M_k`` once ``y_k = 1`` is forced) kept a spurious direction.
+    """
+    z = fixed.reshape(-1, prog.x_shape[0] + 1).copy()
+    z[(z < 0) & ((z == 0).sum(axis=1, keepdims=True) == z.shape[1] - 1)] = 1
+    fixed = z.ravel()
+    k = np.flatnonzero(fixed >= 0)
+    if not k.size:
+        return prog, fixed
+    pins, qp = 2 * k + fixed[k], prog.qp
+    norms = np.linalg.norm(prog.node_G[pins], axis=1)
+    return replace(prog, pinned=fixed >= 0, qp=QpProblem(
+        Q=qp.Q, c=qp.c, G=qp.G, h=qp.h, A=np.vstack([qp.A, prog.node_G[pins] / norms[:, None]]),
+        b=np.concatenate([qp.b, prog.node_h[pins] / norms]))), fixed
 
 
 def _node_rows(prog: _Program, fixed: np.ndarray):
     """The rows of ``prog.node_G`` a node appends, in order, and their bounds:
-    regularized, each fixed indicator's pin row; det, every row, at its
-    ``node_h`` bound where it pins the indicator and at ``free_h`` elsewhere."""
-    k = np.flatnonzero(fixed >= 0)
+    regularized, the pin row of each fixed indicator not in ``prog.pinned``;
+    det, every row, at its ``node_h`` bound where it pins the indicator and
+    at ``free_h`` elsewhere."""
+    k = np.flatnonzero((fixed >= 0) & ~prog.pinned)
     pins = 2 * k + fixed[k]
     if prog.free_h is None:
         return pins, prog.node_h[pins]
@@ -295,7 +333,7 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
 
     def offer(x, incumbent):
         _, resp = det_response_set(inst, x)
-        return incumbent.offer(_profit(inst, x, resp), x, resp, resp.support())
+        incumbent.offer(_profit(inst, x, resp), x, resp, resp.support())
 
     def leaf_value(v, zb, incumbent):
         combo = zb.reshape(S, W + 1).argmax(axis=1)
@@ -313,8 +351,9 @@ def solve_det(inst: Instance, opts: SolverOptions | None = None,
 def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
                      bigm: BigM | None = None) -> float | None:
     """Value of the continuous single-level program with every activation
-    indicator pinned to the given 0/1 pattern, under the supplied constants.
-    Returns None when the pinned program is infeasible.
+    indicator pinned to the given 0/1 pattern, under the supplied constants:
+    one QP with the pins as equalities (``_pin_equalities``) and no node
+    rows.  Returns None when the pinned program is infeasible.
 
     With valid constants this equals the closed-cell optimum of the pattern;
     undersized constants cut it, which is what the negative-control tests
@@ -325,7 +364,7 @@ def bigm_piece_value(inst: Instance, beta: Beta | float, fixed_z: np.ndarray,
     z = np.asarray(fixed_z, dtype=np.int8).ravel()
     if z.size != prog.bin_idx.size or not np.all((z == 0) | (z == 1)):
         raise ValueError("fixed_z must be a binary S x (W+1) pattern")
-    sol = solve_qp(_node_problem(prog, z)[0])
+    sol = solve_qp(_pin_equalities(prog, z)[0].qp)
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
@@ -343,7 +382,11 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
     ``fixed_z`` is an (S, W+1) array that pins chosen indicators: -1 leaves
     one free, 0 forces the option out of the support, 1 pins its
     stationarity row (the option may still carry zero mass on the cell
-    boundary).  ``warm_incumbent`` seeds pruning with a known feasible
+    boundary).  The pins are equalities of the tree's program
+    (``_pin_equalities``), so its one reduction eliminates them, and a
+    node appends only the pins that branching adds.  A pinned program
+    whose equalities are inconsistent (a segment pinned all 0) reports
+    ``infeasible``.  ``warm_incumbent`` seeds pruning with a known feasible
     price vector, which must respect ``fixed_z``.
     """
     opts = opts or SolverOptions()
@@ -353,8 +396,7 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
     bet = Beta.coerce(beta)
     bs = bet.per_segment(S)
     mm = bigm or bigm_quad(inst, bet)
-    prog = _bigm_program(inst, mm, bs)
-    fixed = _parse_fixed(fixed_z, S, W)
+    prog, fixed = _pin_equalities(_bigm_program(inst, mm, bs), _parse_fixed(fixed_z, S, W))
     pinned_in = fixed.reshape(S, W + 1) == 1
     pinned_out = fixed.reshape(S, W + 1) == 0
     G_s, h_s, m = prog.node_G[1::2], prog.node_h[1::2], mm.per_indicator()  # s_k <= 0
@@ -365,18 +407,18 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
         z = np.clip(np.where(y <= s_m, y, 1.0 - s_m), 0, 1)
         return np.where(node.fixed < 0, z, node.fixed)
 
-    def offer(x, incumbent):
+    def offer(x, incumbent, check_pins=True):
         resp, detail = quad_response(inst, x, bet)
-        # the exact response must respect pinned indicators; stationarity
-        # holds to roundoff relative to the segment's disutilities
-        V = inst.disutilities(x)
-        res = V + (2.0 / bs)[:, None] * resp.ybar - detail.mu[:, None]
-        tol = 1e-9 * np.maximum(1.0, np.abs(V).max(axis=1, keepdims=True))
-        if np.any(pinned_in & (np.abs(res) > tol)) or \
-                np.any(pinned_out & (resp.ybar > 1e-9)):
-            return False
-        val = _profit(inst, x, resp)
-        return incumbent.offer(val, x, resp, resp.support())
+        if check_pins:
+            # the exact response must respect pinned indicators; stationarity
+            # holds to roundoff relative to the segment's disutilities
+            V = inst.disutilities(x)
+            res = V + (2.0 / bs)[:, None] * resp.ybar - detail.mu[:, None]
+            tol = 1e-9 * np.maximum(1.0, np.abs(V).max(axis=1, keepdims=True))
+            if np.any(pinned_in & (np.abs(res) > tol)) or \
+                    np.any(pinned_out & (resp.ybar > 1e-9)):
+                return
+        incumbent.offer(_profit(inst, x, resp), x, resp, resp.support())
 
     def leaf_value(v, zb, incumbent):
         zv = np.round(zb).astype(np.int8).reshape(S, W + 1)
@@ -386,7 +428,9 @@ def solve_quad(inst: Instance, beta: Beta | float, opts: SolverOptions | None = 
             cell = solve_cell(inst, Pattern(zv), bet, warm=v[:W * inst.H])
         except CellInfeasibleError:
             return False
-        offer(cell.x, incumbent)
+        # the leaf's pattern agrees with the pins, so its cell optimum respects
+        # them to the cell QP's own tolerance, which the check above can miss
+        offer(cell.x, incumbent, check_pins=False)
         return cell.capped
 
     return _branch_and_bound(prog, opts, gap_target, indicators, offer, leaf_value, t0,

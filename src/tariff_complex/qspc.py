@@ -16,6 +16,18 @@ to its pattern's cell optimum and adopted only if it strictly improves.  A
 cell QP that stops at its iteration cap is taken as solved and counted in
 ``extras["n_capped_cells"]``, and the restricted trees' own such counts are
 summed under their names (``iteration_limit_nodes`` and ``_leaves``).
+Restricted trees hold their pins as equalities and eliminate them once
+(:func:`bnb.solve_quad`), so their node QPs run in the free indicators'
+space.
+
+Without a given start, the search first solves the unpinned program's root
+relaxation (``solve_quad`` with ``node_limit=1``) and descends from that
+root's exactly evaluated incumbent, falling back to the price polytope's
+midpoint when the root gives none (its time ran out).  The root's bound is a
+valid upper bound on the regularized optimum; it is reported in
+``extras["root_bound"]`` when the root QP ran and did not stop at its
+iteration cap (else None), and the root's cap counts join the restricted
+trees'.  A given ``start`` skips the root.
 
 A flip rewrites only its own segment's rows and profit terms of the cell
 QP, so the per-pattern scan assembles all its candidate cells at once
@@ -251,22 +263,37 @@ def _start_point(inst: Instance, start):
 def qspc(inst: Instance, beta: Beta | float, start=None,
          opts: QspcOptions | None = None) -> SolveReport:
     """Pivoting local search with randomized restarts; returns the best
-    pattern's cell optimum as a heuristic report (no bound, no gap)."""
+    pattern's cell optimum as a heuristic report (no bound, no gap).
+
+    Without ``start`` the search starts from the exactly evaluated incumbent
+    of the unpinned root relaxation, whose bound goes to
+    ``extras["root_bound"]``."""
     opts = opts or QspcOptions()
     bet = Beta.coerce(beta)
     t0 = time.perf_counter()
-    x0 = _start_point(inst, start)
-    A0 = pattern_of(inst, x0, bet)
-    x_A, phi_A, capped, act = solve_cell(inst, A0, bet, warm=x0)
-    state = QspcState(pattern=A0, x=x_A, phi=phi_A, active=act, n_capped_cells=int(capped))
-    state.record("descent")
-    rng = np.random.default_rng(opts.rng_seed)
 
     def out_of_time():
         return time.perf_counter() - t0 > opts.time_limit_s
 
     def left():  # opts with time_limit_s cut to what is left of it
         return replace(opts, time_limit_s=max(0.0, opts.time_limit_s - (time.perf_counter() - t0)))
+
+    x0, root_bound, root_caps = start, None, {}
+    if start is None:
+        root = solve_quad(inst, bet, SolverOptions(node_limit=1,
+                                                   time_limit_s=left().time_limit_s))
+        root_caps = {k: root.extras[k] for k in ("iteration_limit_nodes",
+                                                 "iteration_limit_leaves")}
+        if root.node_count and not root_caps["iteration_limit_nodes"]:
+            root_bound = root.bound
+        x0 = root.x  # None without an incumbent: _start_point's fallback
+    x0 = _start_point(inst, x0)
+    A0 = pattern_of(inst, x0, bet)
+    x_A, phi_A, capped, act = solve_cell(inst, A0, bet, warm=x0)
+    state = QspcState(pattern=A0, x=x_A, phi=phi_A, active=act, n_capped_cells=int(capped),
+                      **root_caps)
+    state.record("descent")
+    rng = np.random.default_rng(opts.rng_seed)
 
     while state.r < opts.r_max and not out_of_time():
         if state.r == 0:
@@ -312,7 +339,7 @@ def qspc(inst: Instance, beta: Beta | float, start=None,
         node_count=0,
         wall_time_s=time.perf_counter() - t0,
         trace=list(state.log),
-        extras={k: getattr(state, k) for k in (
+        extras={"root_bound": root_bound, **{k: getattr(state, k) for k in (
             "n_explore", "n_restarts", "n_infeasible_neighbors", "n_capped_cells",
-            "iteration_limit_nodes", "iteration_limit_leaves", "timed_out")},
+            "iteration_limit_nodes", "iteration_limit_leaves", "timed_out")}},
     )

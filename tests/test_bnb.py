@@ -1,18 +1,21 @@
 """Indicator bounds and the exact branch-and-bound solvers."""
 
 import dataclasses
+import itertools
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tariff_complex import (
     Beta,
     BigM,
+    CellInfeasibleError,
     GeneratorConfig,
     Instance,
+    Pattern,
     PricePolytope,
     QspcOptions,
     SolverOptions,
@@ -190,6 +193,49 @@ def test_pinned_program_accepts_roundoff_stationarity():
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(276.09475450823, abs=1e-8)
     assert rep.objective == pytest.approx(bigm_piece_value(inst, 0.05, fz), abs=1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), beta=st.sampled_from([0.05, 0.5]),
+       kind=st.sampled_from(["some", "segment_out", "all"]),
+       pins=st.lists(st.sampled_from([-1, 0, 1]), min_size=9, max_size=9))
+@example(seed=4, beta=0.05, kind="segment_out", pins=[-1] * 9)
+# unscaled pin rows left a row the pins make constant with a spurious direction
+@example(seed=0, beta=0.05, kind="all", pins=[-1, -1, -1, 0, -1, 0, -1, -1, 0])
+# the leaf's cell optimum gives pinned-out options a mass of 7e-9
+@example(seed=577004929, beta=0.5, kind="some", pins=[0, -1, -1, 0, -1, 0, -1, 0, 0])
+# segment 2's last option must carry all its mass: left free, its two rows
+# reduced to an opposite pair, and node QPs stopped short of their optima
+@example(seed=0, beta=0.05, kind="some", pins=[-1, -1, -1, -1, -1, -1, -1, 0, 0])
+def test_pinned_tree_is_the_best_cell_consistent_with_its_pins(seed, beta, kind, pins):
+    # root pins are equalities of the tree's program, the same set as pin
+    # rows: its optimum is the best cell optimum over the patterns that agree
+    # with the pins, and a segment pinned all 0 leaves no feasible point
+    inst = generate(GeneratorConfig(S=3, n_company_contracts=2, seed=seed))
+    fz = np.array(pins, dtype=np.int8).reshape(3, 3)
+    if kind == "segment_out":
+        fz[seed % 3] = 0
+    elif kind == "all":
+        fz[fz < 0] = 1
+    rep = solve_quad(inst, beta, SolverOptions(gap=1e-9), fixed_z=fz)
+    best = -np.inf
+    for bits in itertools.product((0, 1), repeat=9):
+        z = np.array(bits).reshape(3, 3)
+        if np.any(z.sum(axis=1) == 0) or np.any((fz >= 0) & (z != fz)):
+            continue
+        try:
+            best = max(best, solve_cell(inst, Pattern(z), beta).value)
+        except CellInfeasibleError:
+            pass
+    if kind == "segment_out":
+        assert best == -np.inf
+    if best == -np.inf:
+        assert rep.status == "infeasible" and not rep.has_incumbent()
+        return
+    tol = 1e-7 * max(1.0, abs(best))
+    assert rep.status in ("optimal", "gap_reached")
+    assert rep.objective == pytest.approx(best, abs=tol)
+    assert rep.bound >= best - tol
 
 
 def test_budget_statuses_and_gap_semantics():

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from tariff_complex import (
+    GeneratorConfig,
     QspcOptions,
     QspcState,
     explore_good_neighbors,
+    generate,
     miqp_restart,
     pattern_of,
     qspc,
@@ -163,6 +165,36 @@ def test_time_limit_zero_keeps_start_state():
     assert quad_profit(inst, rep.x, 1.0) == pytest.approx(rep.objective, abs=1e-8)
 
 
+def test_time_limit_zero_starts_from_the_midpoint():
+    # with no time for the root QP there is no root incumbent and no bound,
+    # and the search starts where a given midpoint start would
+    inst = make_instance(np.random.default_rng(167), S=2, W=2, H=1)
+    opts = QspcOptions(time_limit_s=0.0)
+    rep = qspc(inst, 1.0, opts=opts)
+    assert rep.extras["root_bound"] is None
+    mid = qspc(inst, 1.0, start=inst.polytope.midpoint(), opts=opts)
+    assert repr(rep.trace) == repr(mid.trace) and rep.x.tobytes() == mid.x.tobytes()
+
+
+def test_root_bound_bounds_the_optimum(tiny_set, tiny_beta_list, tiny_quad_oracles):
+    # the unpinned root relaxation bounds the regularized optimum; a given
+    # start skips the root and reports no bound
+    for i, (inst, beta, res) in enumerate(zip(tiny_set, tiny_beta_list, tiny_quad_oracles)):
+        rep = qspc(inst, beta, opts=QspcOptions(rng_seed=i))
+        assert rep.extras["root_bound"] >= res.value - 1e-9 * max(1.0, abs(res.value))
+    assert qspc(inst, beta, start=res.x).extras["root_bound"] is None
+
+
+@pytest.mark.parametrize("g", range(3))
+def test_search_starts_from_the_root_incumbent(g):
+    # the first state is the cell optimum of the root incumbent's pattern,
+    # which contains the incumbent's prices
+    inst = generate(GeneratorConfig(S=5, n_company_contracts=2, seed=g))
+    root = solve_quad(inst, 0.05, SolverOptions(node_limit=1))
+    rep = qspc(inst, 0.05, opts=QspcOptions(rng_seed=g))
+    assert rep.trace[0]["phi"] >= root.objective - 1e-9
+
+
 def test_restricted_solves_get_the_remaining_budget(monkeypatch):
     # a fake search clock that only the restricted solves move, one second
     # each, so the budget left at every call is known exactly
@@ -196,7 +228,8 @@ def test_iteration_capped_cells_are_counted(monkeypatch):
     module = sys.modules["tariff_complex.qspc"]
     inst = make_instance(np.random.default_rng(181), S=3, W=2, H=1)
     modes = [QspcOptions(r_max=2), QspcOptions(r_max=2, neighbor_mode="restricted_miqp")]
-    ref = [qspc(inst, 1.0, opts=opts) for opts in modes]
+    mid = inst.polytope.midpoint()  # the counts below are a midpoint-started search's
+    ref = [qspc(inst, 1.0, start=mid, opts=opts) for opts in modes]
     keys = ("n_capped_cells", "iteration_limit_nodes", "iteration_limit_leaves")
     assert [rep.extras[k] for rep in ref for k in keys] == [0] * 6
     real_qp, real_cell, hits, all_capped = price_complex.solve_qp, module.solve_cell, [0], [0]
@@ -218,7 +251,7 @@ def test_iteration_capped_cells_are_counted(monkeypatch):
     counts = []
     for opts, want in zip(modes, ref):
         hits[0] = all_capped[0] = 0
-        rep = qspc(inst, 1.0, opts=opts)
+        rep = qspc(inst, 1.0, start=mid, opts=opts)
         assert rep.extras["n_capped_cells"] == hits[0] > 0
         assert rep.extras["iteration_limit_nodes"] == 0  # node QPs are not cell QPs
         assert rep.extras["n_capped_cells"] + rep.extras["iteration_limit_leaves"] == all_capped[0]
